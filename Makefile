@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-alloc verify bench bench-smoke chaos fuzz
+.PHONY: build test lint lint-alloc verify bench bench-smoke chaos fuzz perfbench-check
 
 build:
 	$(GO) build ./...
@@ -52,13 +52,25 @@ shard:
 	$(GO) test -race -count=1 -run 'TestManagerRemoteShardExecution|TestHealthzAndMetrics' ./internal/runsvc
 	$(GO) test -race -count=1 -v -run 'TestShardWorkerChaos' ./internal/faultkit
 
-# Wire-format fuzz smoke: the differential pair-codec target (binary vs
-# JSON round trip, plus decoder totality over arbitrary bytes) and the
-# K-way merge vs its reference. `go test -fuzz` accepts one target per
-# invocation, hence two runs. Also part of `make verify` and CI.
+# Fuzz smoke: the differential pair-codec target (binary vs JSON round
+# trip, plus decoder totality over arbitrary bytes), the K-way merge vs
+# its reference, Jaro-Winkler symmetry (the one-matrix Monge-Elkan rests
+# on it), and the rank-id set kernels vs the string-merge kernels they
+# replaced. `go test -fuzz` accepts one target per invocation, hence one
+# run each. Also part of `make verify` and CI.
 fuzz:
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzPairCodec' -fuzztime 10s ./internal/shard
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzMergePairs' -fuzztime 10s ./internal/shard
+	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzJaroWinklerSymmetric' -fuzztime 10s ./internal/similarity
+	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzIDKernelsMatchStringOracles' -fuzztime 10s ./internal/similarity
+
+# Whole-run benchmark self-test: the _perfbench module's own suite,
+# including TestExactCounts, which pins every batch workload's outcome
+# (matches, accounting, F1, umbrella size) to _perfbench/reference.json.
+# Any kernel change that moves a result fails here. Part of `make verify`
+# and CI.
+perfbench-check:
+	$(GO) -C _perfbench test
 
 # Hot-path benchmarks -> BENCH_PR8.json (ns/op, allocs, speedup pairs,
 # a memory section contrasting the streaming umbrella set with full
@@ -68,8 +80,10 @@ fuzz:
 # `bench` takes minutes, gives stable numbers, and enforces the speedup
 # floors (edit_similarity, forest_score, forest_train, plus the PR 8
 # shard_probe_throughput and shard_wire_bytes transport floors) recorded
-# in BENCH_PR8.json; `bench-smoke` runs every benchmark once so CI can
-# prove the harness works in seconds, floors not enforced.
+# in BENCH_PR8.json, and the blocking fast-path floors
+# (jaccard_qgrams_ids, monge_elkan_matrix, verify_cost_order);
+# `bench-smoke` runs every benchmark once so CI can prove the harness
+# works in seconds, floors not enforced.
 bench:
 	sh scripts/bench.sh full
 

@@ -10,6 +10,10 @@
 // decoding, q-gram counting, TF/IDF weighing, and numeric parsing happen
 // once per record instead of once per comparison, so the pair-scan inner
 // loop — the O(|A|·|B|) hot path — is arithmetic over prebuilt structures.
+// Each attribute's two columns are profiled together, so word and q-gram
+// ids share one vocabulary per (attribute, view) over A∪B. Shard workers
+// rebuild the extractor from the same deterministic dataset and therefore
+// get the same ids.
 // The string-based path is retained as the reference implementation; the
 // profile path is bit-identical to it (enforced by tests).
 package feature
@@ -99,7 +103,8 @@ func numericWrapP(f func(x, y float64) float64) profileFn {
 }
 
 // NewExtractor builds the feature library for the dataset's schema and
-// precomputes both tables' profiles (in parallel across rows). Text
+// precomputes both tables' profiles (in parallel across rows, with one
+// shared vocabulary per attribute). Text
 // attributes get TF/IDF features backed by a corpus built from the values of
 // that attribute across both tables, mirroring how EM systems fit IDF on the
 // data being matched.
@@ -172,28 +177,18 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 				pfn:     m.pfn,
 			})
 		}
-		e.profA[idx] = buildProfiles(ds.A, idx, fields, corpus)
-		e.profB[idx] = buildProfiles(ds.B, idx, fields, corpus)
+		cols := similarity.NewProfiles(fields, corpus, column(ds.A, idx), column(ds.B, idx))
+		e.profA[idx], e.profB[idx] = cols[0], cols[1]
 	}
 	return e
 }
 
-// buildProfiles precomputes the profiles of one attribute column, fanned
-// out across rows; corpus (non-nil for text attributes) attaches the
-// TF/IDF-weighted vector.
-func buildProfiles(t *record.Table, attrIdx int, fields similarity.Fields,
-	corpus *similarity.Corpus) []*similarity.Profile {
-
-	out := make([]*similarity.Profile, t.Len())
-	par.For(t.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := similarity.NewProfile(t.Rows[i][attrIdx], fields)
-			if corpus != nil {
-				corpus.WeighProfile(p)
-			}
-			out[i] = p
-		}
-	})
+// column returns one attribute's values down a table.
+func column(t *record.Table, attrIdx int) []string {
+	out := make([]string, t.Len())
+	for i, row := range t.Rows {
+		out[i] = row[attrIdx]
+	}
 	return out
 }
 

@@ -162,6 +162,7 @@ func (e *RemoteExecutor) Probe(t Task, attempt int) ([]record.Pair, error) {
 			return nil, lerr
 		}
 		pairs, err = e.probeOnce(ep, t)
+		err = restartedSinceLoad(ep, err)
 	}
 	br.Record(err) //corlint:allow det-time — breaker wall clock steers failover pacing, never probe results
 	return pairs, err
@@ -201,6 +202,9 @@ func (e *RemoteExecutor) ProbeBatch(tasks []Task, attempt int) ([][]record.Pair,
 				return results, lerr
 			}
 			part, err = e.batchOnce(ep, chunk)
+			if len(part) == 0 {
+				err = restartedSinceLoad(ep, err)
+			}
 		}
 		br.Record(err) //corlint:allow det-time — breaker wall clock steers failover pacing, never probe results
 		results = append(results, part...)
@@ -215,6 +219,19 @@ func (e *RemoteExecutor) ProbeBatch(tasks []Task, attempt int) ([][]record.Pair,
 func isUnloaded(err error) bool {
 	var he *httpStatusError
 	return errors.As(err, &he) && he.status == http.StatusPreconditionFailed
+}
+
+// restartedSinceLoad classifies the probe that follows a successful load.
+// A 412 there means the worker lost the job between the two requests: it
+// restarted in between (net/http may even have re-sent the probe to the
+// new process after the old one died). That is transient, like a dropped
+// connection, so the error drops its 4xx status and the coordinator
+// retries the task on the next endpoint instead of failing the run.
+func restartedSinceLoad(ep string, err error) error {
+	if !isUnloaded(err) {
+		return err
+	}
+	return fmt.Errorf("shard: endpoint %s lost the job right after loading it (worker restarted): %v", ep, err)
 }
 
 // newRequest builds a counted POST with the idempotency key and accept

@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/similarity"
@@ -14,6 +17,13 @@ import (
 // through this one evaluator, which is why their outputs are bit-identical:
 // candidate generation only ever decides which pairs get *checked*, never
 // which pairs *survive*. One Verifier serves one goroutine.
+//
+// The verifier tests the rules cheapest first. A pair survives iff no rule
+// covers it: an AND over pure predicates on memoized features, so the
+// order cannot change which pairs survive, only how many features a
+// rejected pair costs. Putting the cheap rules first means the usual
+// rejection — often by the cheap rule that anchored candidate generation —
+// happens before any expensive feature is computed.
 type Verifier struct {
 	ex      *feature.Extractor
 	rules   []tree.Rule
@@ -22,11 +32,17 @@ type Verifier struct {
 	scratch *similarity.Scratch
 }
 
-// NewVerifier binds the rule set to the extractor.
+// NewVerifier binds the rule set to the extractor. It keeps its own copy of
+// the rules, stably sorted by Rule.EvalCost; the caller's slice is not
+// reordered.
 func NewVerifier(ex *feature.Extractor, rules []tree.Rule) *Verifier {
+	sorted := slices.Clone(rules)
+	slices.SortStableFunc(sorted, func(x, y tree.Rule) int {
+		return cmp.Compare(x.EvalCost(ex.Cost), y.EvalCost(ex.Cost))
+	})
 	return &Verifier{
 		ex:      ex,
-		rules:   rules,
+		rules:   sorted,
 		vals:    make([]float64, ex.NumFeatures()),
 		have:    make([]bool, ex.NumFeatures()),
 		scratch: similarity.NewScratch(),

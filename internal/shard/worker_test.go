@@ -212,3 +212,49 @@ func TestRemoteExecutorFailover(t *testing.T) {
 		t.Error("no retries counted despite a dead endpoint")
 	}
 }
+
+// TestRemoteExecutorRestartDuringLoad pins the handshake's failure mode:
+// an endpoint that accepts the job spec and still answers 412 to the very
+// next probe has restarted between the two requests. That must fail the
+// attempt over to the next endpoint like any transient fault, for single
+// and batched probes alike, never fail the run on the 4xx.
+func TestRemoteExecutorRestartDuringLoad(t *testing.T) {
+	spec, ex, rules := testJob(t, 2)
+	want := localBaseline(t, spec, ex, rules)
+	live := httptest.NewServer(NewWorker().Handler())
+	defer live.Close()
+	amnesiac := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shard/load" {
+			return // 200: spec accepted, then forgotten
+		}
+		http.Error(rw, "shard: unknown job", http.StatusPreconditionFailed)
+	}))
+	defer amnesiac.Close()
+	profA, _ := ex.Profiles(spec.Feature)
+	for _, batch := range []int{1, 4} {
+		rexec := NewRemoteExecutor([]string{amnesiac.URL, live.URL}, spec, live.Client())
+		var got []record.Pair
+		per := make([][]record.Pair, spec.Shards)
+		filled := 0
+		c := &Coordinator{Workers: 2, MaxAttempts: 3, Batch: batch}
+		err := c.Run(BlockTasks(spec.Job, len(profA), spec.Shards), rexec, func(_ int, pairs []record.Pair) {
+			per[filled] = pairs
+			filled++
+			if filled == spec.Shards {
+				got = append(got, MergePairs(nil, per)...)
+				filled = 0
+			}
+		})
+		if err != nil {
+			t.Fatalf("batch=%d: %v", batch, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("batch=%d: emitted %d pairs, want %d", batch, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("batch=%d: pair %d: %v, want %v", batch, i, got[i], want[i])
+			}
+		}
+	}
+}

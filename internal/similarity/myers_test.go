@@ -71,8 +71,11 @@ func TestMyersBlockBoundaries(t *testing.T) {
 // profile runes plus a warmed Scratch, the shape of every pair-scan call —
 // at zero allocations per comparison.
 func TestMyersEditSimZeroAllocSteadyState(t *testing.T) {
-	a := NewProfile("kingston hyperx 4gb kit 2 x 2gb ddr3 memory module", FieldRunes)
-	b := NewProfile("kingston 4 gb hyperx ddr3 kit high performance", FieldRunes)
+	ps := NewProfiles(FieldRunes, nil, []string{
+		"kingston hyperx 4gb kit 2 x 2gb ddr3 memory module",
+		"kingston 4 gb hyperx ddr3 kit high performance",
+	})[0]
+	a, b := ps[0], ps[1]
 	s := NewScratch()
 	EditSimProfiles(a, b, s) // warm the scratch
 	if allocs := testing.AllocsPerRun(200, func() {

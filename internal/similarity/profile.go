@@ -20,12 +20,13 @@ const (
 	// FieldRunes decodes the normalized string into runes (edit distance,
 	// Jaro, Jaro-Winkler, the alignment measures).
 	FieldRunes Fields = 1 << iota
-	// FieldTokenRunes decodes each word token into runes (Monge-Elkan).
+	// FieldTokenRunes decodes each word token into runes and keeps its
+	// word id (Monge-Elkan).
 	FieldTokenRunes
-	// FieldWordSet materializes the sorted distinct word tokens
-	// (word Jaccard, overlap, TF/IDF weighing).
+	// FieldWordSet materializes the ascending distinct word ids (word
+	// Jaccard, overlap, TF/IDF weighing).
 	FieldWordSet
-	// FieldQGrams materializes the sorted padded 3-gram count vector
+	// FieldQGrams materializes the ascending padded 3-gram id count vector
 	// (q-gram Jaccard and cosine).
 	FieldQGrams
 	// FieldNumeric parses the raw value as a number (numeric diffs).
@@ -43,6 +44,9 @@ const AllFields = FieldRunes | FieldTokenRunes | FieldWordSet | FieldQGrams |
 // the corresponding string measures applied to Norm (for measures that
 // normalize internally, to Raw as well): they run the same cores in the
 // same floating-point summation order, only on prebuilt structures.
+// Profiles are built column-wise by NewProfiles; the id views (TokenIDs,
+// WordSet, GramSet, TFIDF.IDs) are ranks in vocabularies shared by the
+// profiles of one NewProfiles call (intern.go).
 type Profile struct {
 	// Raw is the original attribute value; Norm is strutil.Normalize(Raw).
 	Raw, Norm string
@@ -51,16 +55,19 @@ type Profile struct {
 	// Tokens is strutil.Words(Norm); populated whenever any token-derived
 	// field is requested.
 	Tokens []string
+	// TokenIDs holds each token's word id, aligned with Tokens
+	// (FieldTokenRunes).
+	TokenIDs []uint32
 	// TokenRunes holds each token decoded to runes (FieldTokenRunes).
 	TokenRunes [][]rune
-	// SortedTokens is the sorted distinct Tokens (FieldWordSet).
-	SortedTokens []string
-	// SortedGrams / GramCounts are the sorted distinct padded 3-grams of
-	// Norm with multiplicities; GramNorm is Σ count² accumulated in sorted
-	// order (FieldQGrams).
-	SortedGrams []string
-	GramCounts  []int
-	GramNorm    float64
+	// WordSet is the ascending distinct word ids of Tokens (FieldWordSet).
+	WordSet []uint32
+	// GramSet / GramCounts are the ascending distinct padded 3-gram ids of
+	// Norm with multiplicities; GramNorm is Σ count² accumulated in
+	// ascending order (FieldQGrams).
+	GramSet    []uint32
+	GramCounts []int32
+	GramNorm   float64
 	// Numeric / NumericOK are strutil.ParseNumeric(Raw) (FieldNumeric).
 	Numeric   float64
 	NumericOK bool
@@ -68,13 +75,14 @@ type Profile struct {
 	// their sorted distinct set (FieldSoundex).
 	SoundexCodes []string
 	SortedCodes  []string
-	// TFIDF is the corpus-weighted vector, set by Corpus.WeighProfile for
-	// attributes that carry a TF/IDF feature.
+	// TFIDF is the corpus-weighted vector, set by NewProfiles for columns
+	// built with a corpus.
 	TFIDF *WeightedVector
 }
 
-// NewProfile precomputes the requested views of one attribute value.
-func NewProfile(raw string, fields Fields) *Profile {
+// newProfile precomputes the per-value views of one attribute value; the
+// id views need the whole column and are filled in by NewProfiles.
+func newProfile(raw string, fields Fields) *Profile {
 	p := &Profile{Raw: raw, Norm: strutil.Normalize(raw)}
 	if fields&FieldRunes != 0 {
 		p.Runes = []rune(p.Norm)
@@ -86,16 +94,6 @@ func NewProfile(raw string, fields Fields) *Profile {
 		p.TokenRunes = make([][]rune, len(p.Tokens))
 		for i, t := range p.Tokens {
 			p.TokenRunes[i] = []rune(t)
-		}
-	}
-	if fields&FieldWordSet != 0 {
-		p.SortedTokens = strutil.SortedSet(p.Tokens)
-	}
-	if fields&FieldQGrams != 0 {
-		p.SortedGrams, p.GramCounts = strutil.SortedCounts(strutil.QGrams(p.Norm, 3))
-		for _, c := range p.GramCounts {
-			f := float64(c)
-			p.GramNorm += f * f
 		}
 	}
 	if fields&FieldNumeric != 0 {
@@ -141,37 +139,38 @@ func JaroWinklerProfiles(a, b *Profile, s *Scratch) float64 {
 // JaccardWordsProfiles is the profile fast path of JaccardWords (requires
 // FieldWordSet).
 func JaccardWordsProfiles(a, b *Profile) float64 {
-	return jaccardSorted(a.SortedTokens, b.SortedTokens)
+	return jaccardIDs(a.WordSet, b.WordSet)
 }
 
 // JaccardQGramsProfiles is the profile fast path of JaccardQGrams (requires
 // FieldQGrams).
 func JaccardQGramsProfiles(a, b *Profile) float64 {
-	return jaccardSorted(a.SortedGrams, b.SortedGrams)
+	return jaccardIDs(a.GramSet, b.GramSet)
 }
 
-// jaccardSorted mirrors jaccard over sorted distinct slices: the
+// jaccardIDs mirrors jaccard over ascending distinct id sets: the
 // intersection is a linear merge instead of map probes, and the result is
 // the same integer-derived ratio.
-func jaccardSorted(sa, sb []string) float64 {
+func jaccardIDs(sa, sb []uint32) float64 {
 	if len(sa) == 0 && len(sb) == 0 {
 		return 1
 	}
 	if len(sa) == 0 || len(sb) == 0 {
 		return 0
 	}
-	inter := intersectSorted(sa, sb)
+	inter := intersectIDs(sa, sb)
 	return float64(inter) / float64(len(sa)+len(sb)-inter)
 }
 
-// intersectSorted counts common elements of two sorted distinct slices.
-func intersectSorted(sa, sb []string) int {
+// intersectIDs counts common elements of two ascending distinct id sets.
+func intersectIDs(sa, sb []uint32) int {
 	inter := 0
 	for i, j := 0, 0; i < len(sa) && j < len(sb); {
+		x, y := sa[i], sb[j]
 		switch {
-		case sa[i] < sb[j]:
+		case x < y:
 			i++
-		case sa[i] > sb[j]:
+		case x > y:
 			j++
 		default:
 			inter++
@@ -185,7 +184,7 @@ func intersectSorted(sa, sb []string) int {
 // OverlapWordsProfiles is the profile fast path of OverlapWords (requires
 // FieldWordSet).
 func OverlapWordsProfiles(a, b *Profile) float64 {
-	sa, sb := a.SortedTokens, b.SortedTokens
+	sa, sb := a.WordSet, b.WordSet
 	if len(sa) == 0 && len(sb) == 0 {
 		return 1
 	}
@@ -196,52 +195,68 @@ func OverlapWordsProfiles(a, b *Profile) float64 {
 	if len(sb) < small {
 		small = len(sb)
 	}
-	return float64(intersectSorted(sa, sb)) / float64(small)
+	return float64(intersectIDs(sa, sb)) / float64(small)
 }
 
 // MongeElkanProfiles is the profile fast path of MongeElkan (requires
-// FieldTokenRunes).
+// FieldTokenRunes). The string path runs Jaro-Winkler over every token
+// pair twice, once per direction. Jaro-Winkler is symmetric bit for bit
+// (pinned exhaustively by TestJaroWinklerSymmetric), so this path fills
+// the |a|×|b| matrix once: row maxima give the a→b direction, column
+// maxima the b→a direction, each summed in index order as the string path
+// does. Equal token ids score exactly 1 without running Jaro, which is what
+// Jaro-Winkler returns for identical runes.
 func MongeElkanProfiles(a, b *Profile, s *Scratch) float64 {
-	if len(a.Tokens) == 0 && len(b.Tokens) == 0 {
+	ta, tb := a.TokenRunes, b.TokenRunes
+	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
-	if len(a.Tokens) == 0 || len(b.Tokens) == 0 {
+	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	return (mongeElkanDirRunes(a.TokenRunes, b.TokenRunes, s) +
-		mongeElkanDirRunes(b.TokenRunes, a.TokenRunes, s)) / 2
-}
-
-func mongeElkanDirRunes(ta, tb [][]rune, s *Scratch) float64 {
-	sum := 0.0
-	for _, x := range ta {
+	colBest := s.floatRow(len(tb))
+	sumA := 0.0
+	for i, x := range ta {
 		best := 0.0
-		for _, y := range tb {
-			if v := jaroWinklerRunes(x, y, s); v > best {
+		for j, y := range tb {
+			v := 1.0
+			if a.TokenIDs[i] != b.TokenIDs[j] {
+				v = jaroWinklerRunes(x, y, s)
+			}
+			if v > best {
 				best = v
 			}
+			if v > colBest[j] {
+				colBest[j] = v
+			}
 		}
-		sum += best
+		sumA += best
 	}
-	return sum / float64(len(ta))
+	sumB := 0.0
+	for _, v := range colBest {
+		sumB += v
+	}
+	return (sumA/float64(len(ta)) + sumB/float64(len(tb))) / 2
 }
 
 // CosineQGramsProfiles is the profile fast path of CosineQGrams (requires
-// FieldQGrams). Norms are precomputed; the dot product merges the sorted
-// gram vectors in the string path's summation order.
+// FieldQGrams). Norms are precomputed; the dot product merges the
+// ascending gram id sets, visiting common grams in the string path's
+// summation order.
 func CosineQGramsProfiles(a, b *Profile) float64 {
-	if len(a.SortedGrams) == 0 && len(b.SortedGrams) == 0 {
+	if len(a.GramSet) == 0 && len(b.GramSet) == 0 {
 		return 1
 	}
-	if len(a.SortedGrams) == 0 || len(b.SortedGrams) == 0 {
+	if len(a.GramSet) == 0 || len(b.GramSet) == 0 {
 		return 0
 	}
 	var dot float64
-	for i, j := 0, 0; i < len(a.SortedGrams) && j < len(b.SortedGrams); {
+	for i, j := 0, 0; i < len(a.GramSet) && j < len(b.GramSet); {
+		x, y := a.GramSet[i], b.GramSet[j]
 		switch {
-		case a.SortedGrams[i] < b.SortedGrams[j]:
+		case x < y:
 			i++
-		case a.SortedGrams[i] > b.SortedGrams[j]:
+		case x > y:
 			j++
 		default:
 			dot += float64(a.GramCounts[i]) * float64(b.GramCounts[j])

@@ -29,11 +29,7 @@ func BenchmarkCosineString(b *testing.B) {
 // once, each comparison is a linear merge over presorted tokens.
 func BenchmarkCosineProfile(b *testing.B) {
 	c := NewCorpus(benchDocs)
-	profs := make([]*Profile, len(benchDocs))
-	for i, d := range benchDocs {
-		profs[i] = NewProfile(d, FieldWordSet)
-		c.WeighProfile(profs[i])
-	}
+	profs := NewProfiles(FieldWordSet, c, benchDocs)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,10 +62,7 @@ func BenchmarkEditSimStringMyers(b *testing.B) {
 // scratch-reused pattern tables through the Myers core — zero-alloc steady
 // state.
 func BenchmarkEditSimProfile(b *testing.B) {
-	profs := make([]*Profile, len(benchDocs))
-	for i, d := range benchDocs {
-		profs[i] = NewProfile(d, FieldRunes)
-	}
+	profs := NewProfiles(FieldRunes, nil, benchDocs)[0]
 	s := NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -49,14 +49,8 @@ func fuzzCorpus(seed int64, n int) []string {
 func TestProfileEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		corpus := fuzzCorpus(seed, 40)
-		profiles := make([]*Profile, len(corpus))
-		for i, s := range corpus {
-			profiles[i] = NewProfile(s, AllFields)
-		}
 		c := NewCorpus(corpus)
-		for _, p := range profiles {
-			c.WeighProfile(p)
-		}
+		profiles := NewProfiles(AllFields, c, corpus)[0]
 		scratch := NewScratch()
 
 		type check struct {
@@ -122,10 +116,10 @@ func TestProfileEquivalence(t *testing.T) {
 func TestProfileNumericEquivalence(t *testing.T) {
 	cases := []string{"42", "$19.99", "1,234.5", " 7 ", "", "abc", "-3.5", "+8", "1.2.3"}
 	for _, s := range cases {
-		p := NewProfile(s, FieldNumeric)
+		p := NewProfiles(FieldNumeric, nil, []string{s})[0][0]
 		want, wok := strutil.ParseNumeric(s)
 		if p.NumericOK != wok || (wok && p.Numeric != want) {
-			t.Errorf("NewProfile(%q).Numeric = %v,%v want %v,%v",
+			t.Errorf("NewProfiles(%q).Numeric = %v,%v want %v,%v",
 				s, p.Numeric, p.NumericOK, want, wok)
 		}
 	}

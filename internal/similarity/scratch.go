@@ -12,6 +12,8 @@ package similarity
 type Scratch struct {
 	rowA, rowB   []int
 	flagA, flagB []bool
+	// rowF is Monge-Elkan's per-column running maxima.
+	rowF []float64
 
 	// Myers single-block state: ASCII pattern-mask table plus a spillover
 	// map for runes >= 128. The table is wiped entry-by-entry after each
@@ -139,4 +141,29 @@ func (s *Scratch) boolRows(na, nb int) (fa, fb []bool) {
 		fb[i] = false
 	}
 	return fa, fb
+}
+
+// floatRow returns a zeroed float64 row of length n (Monge-Elkan's column
+// maxima).
+func (s *Scratch) floatRow(n int) []float64 {
+	if s == nil || cap(s.rowF) < n {
+		return s.growFloatRow(n)
+	}
+	r := s.rowF[:n]
+	clear(r)
+	return r
+}
+
+// growFloatRow is floatRow's allocating slow path: a fresh row for a nil
+// scratch, a larger retained one otherwise. It stays out of line so the
+// allocation is confined to it and the kernels calling floatRow have no
+// heap escapes of their own.
+//
+//go:noinline
+func (s *Scratch) growFloatRow(n int) []float64 {
+	r := make([]float64, n)
+	if s != nil {
+		s.rowF = r
+	}
+	return r
 }

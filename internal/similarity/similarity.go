@@ -32,7 +32,7 @@ func Levenshtein(a, b string) int {
 // in O(len) this way. What remains runs through Myers' bit-parallel
 // algorithm (myers.go) with the shorter side as the pattern: one 64-bit
 // word per ≤64-rune column instead of the classic quadratic DP, which is
-// retained as levenshteinTwoRowRunes (reference.go) and pinned equal by
+// retained as levenshteinTwoRowRunes (reference_test.go) and pinned equal by
 // the equivalence tests and the differential fuzz target.
 func levenshteinRunes(ra, rb []rune, s *Scratch) int {
 	for len(ra) > 0 && len(rb) > 0 && ra[0] == rb[0] {

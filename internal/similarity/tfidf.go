@@ -52,34 +52,34 @@ func (c *Corpus) IDF(t string) float64 {
 }
 
 // WeightedVector is a record's TF/IDF view under one corpus: the distinct
-// tokens in sorted order with their term frequencies, IDFs, precomputed
-// weights W[i] = TF[i]·IDF[i], and the squared norm Σ W[i]² accumulated in
-// sorted token order. Precomputing it once per record removes the
-// per-comparison tokenization, key sorting, and IDF map probes — including
-// the old Cosine's duplicated IDF lookup, which weighed tokens common to
-// both strings twice across its two sortedKeys passes.
+// token ids in ascending order with their term frequencies, IDFs,
+// precomputed weights W[i] = TF[i]·IDF[i], and the squared norm Σ W[i]²
+// accumulated in ascending id order. Ids are rank ids (intern.go), so
+// ascending id order is sorted token order. Precomputing it once per
+// record removes the per-comparison tokenization, key sorting, and IDF map
+// probes — including the old Cosine's duplicated IDF lookup, which weighed
+// tokens common to both strings twice across its two sortedKeys passes.
 type WeightedVector struct {
-	Tokens []string
-	TF     []int
-	IDF    []float64
-	W      []float64
-	Norm   float64
+	IDs  []uint32
+	TF   []int32
+	IDF  []float64
+	W    []float64
+	Norm float64
 }
 
-// Weigh builds the corpus-weighted vector of a token multiset. Token order
-// in the input is irrelevant; the vector is sorted.
-func (c *Corpus) Weigh(tokens []string) *WeightedVector {
-	keys, counts := strutil.SortedCounts(tokens)
+// weigh builds the weighted vector of an ascending id set with its term
+// frequencies; idf is indexed by id.
+func weigh(ids []uint32, tf []int32, idf []float64) *WeightedVector {
 	v := &WeightedVector{
-		Tokens: keys,
-		TF:     counts,
-		IDF:    make([]float64, len(keys)),
-		W:      make([]float64, len(keys)),
+		IDs: ids,
+		TF:  tf,
+		IDF: make([]float64, len(ids)),
+		W:   make([]float64, len(ids)),
 	}
-	for i, t := range keys {
-		idf := c.IDF(t)
-		w := float64(counts[i]) * idf
-		v.IDF[i] = idf
+	for i, id := range ids {
+		x := idf[id]
+		w := float64(tf[i]) * x
+		v.IDF[i] = x
 		v.W[i] = w
 		v.Norm += w * w
 	}
@@ -87,22 +87,24 @@ func (c *Corpus) Weigh(tokens []string) *WeightedVector {
 }
 
 // CosineVectors is the cosine of two corpus-weighted vectors (which must
-// come from the same corpus). The dot product merges the sorted token lists,
-// visiting common tokens in ascending order — the same floating-point
-// summation order as the string path, so scores are bit-identical.
+// come from the same corpus and vocabulary). The dot product merges the
+// ascending id lists, visiting common tokens in sorted token order — the
+// same floating-point summation order as the string path, so scores are
+// bit-identical.
 func CosineVectors(a, b *WeightedVector) float64 {
-	if len(a.Tokens) == 0 && len(b.Tokens) == 0 {
+	if len(a.IDs) == 0 && len(b.IDs) == 0 {
 		return 0.5
 	}
-	if len(a.Tokens) == 0 || len(b.Tokens) == 0 {
+	if len(a.IDs) == 0 || len(b.IDs) == 0 {
 		return 0
 	}
 	var dot float64
-	for i, j := 0, 0; i < len(a.Tokens) && j < len(b.Tokens); {
+	for i, j := 0, 0; i < len(a.IDs) && j < len(b.IDs); {
+		x, y := a.IDs[i], b.IDs[j]
 		switch {
-		case a.Tokens[i] < b.Tokens[j]:
+		case x < y:
 			i++
-		case a.Tokens[i] > b.Tokens[j]:
+		case x > y:
 			j++
 		default:
 			dot += a.W[i] * float64(b.TF[j]) * b.IDF[j]
@@ -121,19 +123,32 @@ func CosineVectors(a, b *WeightedVector) float64 {
 }
 
 // Cosine returns the TF/IDF-weighted cosine similarity of a and b in [0,1].
-// Two empty strings are treated as unknown (0.5), one empty as 0.
+// Two empty strings are treated as unknown (0.5), one empty as 0. The
+// sorted distinct tokens of both strings form a vocabulary of their own,
+// so the two vectors compare through the same id merge as profiles do.
 func (c *Corpus) Cosine(a, b string) float64 {
-	return CosineVectors(c.Weigh(strutil.Words(a)), c.Weigh(strutil.Words(b)))
+	ta, tb := strutil.Words(a), strutil.Words(b)
+	terms := strutil.SortedSet(append(append([]string(nil), ta...), tb...))
+	idf := make([]float64, len(terms))
+	for i, t := range terms {
+		idf[i] = c.IDF(t)
+	}
+	return CosineVectors(weighTerms(terms, ta, idf), weighTerms(terms, tb, idf))
 }
 
-// WeighProfile attaches the corpus-weighted vector for p's tokens to p,
-// enabling CosineProfiles on it.
-func (c *Corpus) WeighProfile(p *Profile) {
-	p.TFIDF = c.Weigh(p.Tokens)
+// weighTerms weighs a token list whose tokens all occur in the sorted
+// vocabulary terms; a token's id is its position there.
+func weighTerms(terms, toks []string, idf []float64) *WeightedVector {
+	ids := make([]uint32, len(toks))
+	for i, t := range toks {
+		ids[i] = uint32(sort.SearchStrings(terms, t))
+	}
+	set, tf := countSet(ids, true)
+	return weigh(set, tf, idf)
 }
 
 // CosineProfiles is the profile fast path of Cosine: both profiles must
-// have been weighed under this corpus (WeighProfile).
+// have been built by one NewProfiles call with this corpus.
 func (c *Corpus) CosineProfiles(a, b *Profile) float64 {
 	return CosineVectors(a.TFIDF, b.TFIDF)
 }

@@ -38,10 +38,8 @@ func TestCosinePinnedScores(t *testing.T) {
 		if got := c.Cosine(cs.a, cs.b); got != cs.want {
 			t.Errorf("Cosine(%q, %q) = %v, want pinned %v", cs.a, cs.b, got, cs.want)
 		}
-		pa := NewProfile(cs.a, FieldWordSet)
-		pb := NewProfile(cs.b, FieldWordSet)
-		c.WeighProfile(pa)
-		c.WeighProfile(pb)
+		ps := NewProfiles(FieldWordSet, c, []string{cs.a, cs.b})[0]
+		pa, pb := ps[0], ps[1]
 		if got := c.CosineProfiles(pa, pb); got != cs.want {
 			t.Errorf("CosineProfiles(%q, %q) = %v, want pinned %v", cs.a, cs.b, got, cs.want)
 		}

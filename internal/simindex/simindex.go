@@ -35,10 +35,10 @@ type Kind int
 
 const (
 	// JaccardWords is the Jaccard coefficient over distinct word tokens
-	// (feature kind "jaccard_w", profile field SortedTokens).
+	// (feature kind "jaccard_w", profile field WordSet).
 	JaccardWords Kind = iota
 	// JaccardQGrams is the Jaccard coefficient over distinct padded 3-grams
-	// (feature kind "jaccard_3g", profile field SortedGrams).
+	// (feature kind "jaccard_3g", profile field GramSet).
 	JaccardQGrams
 	// OverlapWords is the overlap coefficient over distinct word tokens
 	// (feature kind "overlap_w").
@@ -73,16 +73,20 @@ func KindOf(measure string) (Kind, bool) {
 const eps = 1e-9
 
 // Index is an inverted index over one attribute column of the indexed
-// table: token → ascending row ids, plus per-row set sizes for length
-// filtering. Build it once per (feature, table); it is read-only afterwards
-// and safe for concurrent probes.
+// table: token id → ascending row ids, plus per-row set sizes for length
+// filtering. Probes must come from the same similarity.NewProfiles call as
+// the indexed column, so their token ids share its vocabulary. Build it
+// once per (feature, table); it is read-only afterwards and safe for
+// concurrent probes.
 type Index struct {
 	kind Kind
-	// postings maps a token (or q-gram) to the ascending list of rows whose
-	// set contains it. For CosineTFIDF, zero-weight tokens (IDF 0) are not
-	// indexed: they contribute nothing to any dot product, so a pair whose
-	// only shared tokens are zero-weight scores 0 and cannot exceed θ ≥ 0.
-	postings map[string][]int32
+	// postings[id] is the ascending list of rows whose set contains the
+	// token (or q-gram) with that rank id; ids past the end, like ids only
+	// the probe side uses, have no rows. For CosineTFIDF, zero-weight
+	// tokens (IDF 0) are not indexed: they contribute nothing to any dot
+	// product, so a pair whose only shared tokens are zero-weight scores 0
+	// and cannot exceed θ ≥ 0.
+	postings [][]int32
 	// size[r] is the distinct-token (or distinct-gram) set size of row r;
 	// 0 for rows with a missing value or an empty set.
 	size []int32
@@ -93,24 +97,34 @@ type Index struct {
 	emptySet []int32
 }
 
-// keys returns the distinct-token view of p that kind compares on, or nil
-// when the value is missing. The bool reports whether the value is present.
-func keys(kind Kind, p *similarity.Profile) ([]string, bool) {
+// keys returns the ascending distinct token ids of p that kind compares
+// on, or nil when the value is missing. The bool reports whether the value
+// is present.
+func keys(kind Kind, p *similarity.Profile) ([]uint32, bool) {
 	if p == nil || p.Norm == "" {
 		return nil, false
 	}
 	switch kind {
 	case JaccardWords, OverlapWords:
-		return p.SortedTokens, true
+		return p.WordSet, true
 	case JaccardQGrams:
-		return p.SortedGrams, true
+		return p.GramSet, true
 	case CosineTFIDF:
 		if p.TFIDF == nil {
 			return nil, false
 		}
-		return p.TFIDF.Tokens, true
+		return p.TFIDF.IDs, true
 	}
 	return nil, false
+}
+
+// postingsLen is the length of id's postings list (0 for ids the indexed
+// rows never use).
+func (ix *Index) postingsLen(id uint32) int {
+	if int(id) < len(ix.postings) {
+		return len(ix.postings[id])
+	}
+	return 0
 }
 
 // Build indexes the profile column of the table being probed against
@@ -118,11 +132,7 @@ func keys(kind Kind, p *similarity.Profile) ([]string, bool) {
 // indexed: the feature layer maps them to the Missing sentinel (−1), which
 // can never exceed a threshold θ ≥ 0.
 func Build(kind Kind, profs []*similarity.Profile) *Index {
-	ix := &Index{
-		kind:     kind,
-		postings: make(map[string][]int32),
-		size:     make([]int32, len(profs)),
-	}
+	ix := &Index{kind: kind, size: make([]int32, len(profs))}
 	for r, p := range profs {
 		ks, ok := keys(kind, p)
 		if !ok {
@@ -133,11 +143,14 @@ func Build(kind Kind, profs []*similarity.Profile) *Index {
 			continue
 		}
 		n := 0
-		for i, t := range ks {
+		for i, id := range ks {
 			if kind == CosineTFIDF && p.TFIDF.W[i] == 0 {
 				continue // cannot contribute to any dot product
 			}
-			ix.postings[t] = append(ix.postings[t], int32(r))
+			if int(id) >= len(ix.postings) {
+				ix.postings = append(ix.postings, make([][]int32, int(id)+1-len(ix.postings))...)
+			}
+			ix.postings[id] = append(ix.postings[id], int32(r))
 			n++
 		}
 		ix.size[r] = int32(n)
@@ -146,23 +159,28 @@ func Build(kind Kind, profs []*similarity.Profile) *Index {
 }
 
 // Tokens returns the number of distinct indexed tokens (diagnostics).
-func (ix *Index) Tokens() int { return len(ix.postings) }
+func (ix *Index) Tokens() int {
+	n := 0
+	for _, ps := range ix.postings {
+		if len(ps) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
-// mapEntryOverhead approximates Go map bookkeeping per postings entry:
-// bucket slot, string header, and slice header. The constant only needs to
-// be stable and order-of-magnitude right — Footprint feeds capacity
-// planning and the sharded-execution benchmarks, not an allocator.
-const mapEntryOverhead = 64
+// sliceHeaderBytes is the size of one postings slot: a slice header.
+const sliceHeaderBytes = 24
 
-// Footprint estimates the index's resident bytes: token keys, postings ids
-// (4 bytes each), per-token map overhead, and the size array. It is the
-// quantity sharded execution bounds per worker — at billions of candidate
-// pairs the postings lists are the dominant memory term of the blocking
-// scan.
+// Footprint estimates the index's resident bytes: one slice header per id
+// slot, postings ids (4 bytes each), and the size and empty-set arrays. It
+// is the quantity sharded execution bounds per worker — at billions of
+// candidate pairs the postings lists are the dominant memory term of the
+// blocking scan.
 func (ix *Index) Footprint() int64 {
-	var n int64
-	for t, ps := range ix.postings {
-		n += int64(len(t)) + mapEntryOverhead + int64(len(ps))*4
+	n := int64(len(ix.postings)) * sliceHeaderBytes
+	for _, ps := range ix.postings {
+		n += int64(len(ps)) * 4
 	}
 	n += int64(len(ix.size))*4 + int64(len(ix.emptySet))*4
 	return n
@@ -272,7 +290,7 @@ func (ix *Index) Candidates(probe *similarity.Profile, theta float64, s *Scratch
 	s.order = ord
 	if prefix < sa {
 		sort.Slice(ord, func(i, j int) bool {
-			li, lj := len(ix.postings[ks[ord[i]]]), len(ix.postings[ks[ord[j]]])
+			li, lj := ix.postingsLen(ks[ord[i]]), ix.postingsLen(ks[ord[j]])
 			if li != lj {
 				return li < lj
 			}
@@ -284,6 +302,9 @@ func (ix *Index) Candidates(probe *similarity.Profile, theta float64, s *Scratch
 	for _, i := range ord[:prefix] {
 		if ix.kind == CosineTFIDF && probe.TFIDF.W[i] == 0 {
 			continue // zero-weight token cannot contribute to the dot product
+		}
+		if int(ks[i]) >= len(ix.postings) {
+			continue // no indexed row holds this token
 		}
 		for _, r := range ix.postings[ks[i]] {
 			if s.mark[r] == s.epoch {

@@ -42,15 +42,11 @@ func genValues(rng *rand.Rand, n int) []string {
 	return out
 }
 
-func buildProfiles(vals []string, corpus *similarity.Corpus) []*similarity.Profile {
-	out := make([]*similarity.Profile, len(vals))
-	for i, v := range vals {
-		out[i] = similarity.NewProfile(v, similarity.AllFields)
-		if corpus != nil {
-			corpus.WeighProfile(out[i])
-		}
-	}
-	return out
+// buildProfiles profiles the columns with one shared vocabulary, as the
+// feature extractor does for an attribute's two tables: probes and indexed
+// rows must come from one call for their token ids to compare.
+func buildProfiles(corpus *similarity.Corpus, cols ...[]string) [][]*similarity.Profile {
+	return similarity.NewProfiles(similarity.AllFields, corpus, cols...)
 }
 
 // exact computes the measure the index accelerates, mirroring the feature
@@ -80,8 +76,8 @@ func TestCandidatesComplete(t *testing.T) {
 	valsA := genValues(rng, 60)
 	valsB := genValues(rng, 80)
 	corpus := similarity.NewCorpus(append(append([]string{}, valsA...), valsB...))
-	profA := buildProfiles(valsA, corpus)
-	profB := buildProfiles(valsB, corpus)
+	cols := buildProfiles(corpus, valsA, valsB)
+	profA, profB := cols[0], cols[1]
 
 	thetas := []float64{0, 0.1, 0.25, 1.0 / 3, 0.5, 0.6, 2.0 / 3, 0.75, 0.9, 0.999, 1}
 	for _, kind := range []Kind{JaccardWords, JaccardQGrams, OverlapWords, CosineTFIDF} {
@@ -110,10 +106,10 @@ func TestCandidatesComplete(t *testing.T) {
 func TestCandidatesSortedAndDeduped(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	valsB := genValues(rng, 100)
-	profB := buildProfiles(valsB, nil)
+	cols := buildProfiles(nil, valsB, []string{"kingston hyperx memory kit ddr3"})
+	profB, probe := cols[0], cols[1][0]
 	ix := Build(JaccardWords, profB)
 	s := NewScratch()
-	probe := similarity.NewProfile("kingston hyperx memory kit ddr3", similarity.AllFields)
 	cands := ix.Candidates(probe, 0, s)
 	for i := 1; i < len(cands); i++ {
 		if cands[i] <= cands[i-1] {
@@ -128,10 +124,10 @@ func TestCandidatesSortedAndDeduped(t *testing.T) {
 func TestCandidatesPrune(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	valsB := genValues(rng, 400)
-	profB := buildProfiles(valsB, nil)
+	cols := buildProfiles(nil, valsB, []string{"kingston hyperx"})
+	profB, probe := cols[0], cols[1][0]
 	ix := Build(JaccardWords, profB)
 	s := NewScratch()
-	probe := similarity.NewProfile("kingston hyperx", similarity.AllFields)
 
 	loose := len(ix.Candidates(probe, 0, s))
 	tight := len(ix.Candidates(probe, 0.9, s))
@@ -148,7 +144,7 @@ func TestCandidatesPrune(t *testing.T) {
 // with each other.
 func TestMissingAndEmptyValues(t *testing.T) {
 	vals := []string{"kingston kit", "", "!!!", "hyperx kit"}
-	profs := buildProfiles(vals, nil)
+	profs := buildProfiles(nil, vals)[0]
 	ix := Build(JaccardWords, profs)
 	s := NewScratch()
 
@@ -189,10 +185,10 @@ func TestKindOf(t *testing.T) {
 
 // TestScratchEpochWrap exercises the epoch-wrap clearing path.
 func TestScratchEpochWrap(t *testing.T) {
-	profs := buildProfiles([]string{"kingston kit", "kingston drive"}, nil)
+	cols := buildProfiles(nil, []string{"kingston kit", "kingston drive"}, []string{"kingston"})
+	profs, probe := cols[0], cols[1][0]
 	ix := Build(JaccardWords, profs)
 	s := NewScratch()
-	probe := similarity.NewProfile("kingston", similarity.AllFields)
 	_ = ix.Candidates(probe, 0, s)
 	s.epoch = 1<<31 - 2 // next reset wraps
 	got := ix.Candidates(probe, 0, s)
@@ -202,12 +198,13 @@ func TestScratchEpochWrap(t *testing.T) {
 }
 
 func Example() {
-	profs := []*similarity.Profile{
-		similarity.NewProfile("kingston hyperx 4gb kit", similarity.AllFields),
-		similarity.NewProfile("seagate barracuda drive", similarity.AllFields),
-	}
-	ix := Build(JaccardWords, profs)
-	probe := similarity.NewProfile("kingston hyperx kit 8gb", similarity.AllFields)
+	// Indexed rows and probes are profiled in one call so they share a
+	// vocabulary.
+	cols := similarity.NewProfiles(similarity.FieldWordSet, nil,
+		[]string{"kingston hyperx 4gb kit", "seagate barracuda drive"},
+		[]string{"kingston hyperx kit 8gb"})
+	ix := Build(JaccardWords, cols[0])
+	probe := cols[1][0]
 	fmt.Println(ix.Candidates(probe, 0.4, NewScratch()))
 	// Output: [0]
 }

@@ -96,9 +96,8 @@ func TokenCounts(toks []string) map[string]int {
 	return counts
 }
 
-// SortedSet returns the distinct tokens in sorted order. It is the sorted
-// materialization of TokenSet, used by profile-based set measures that
-// intersect by merging instead of probing a map.
+// SortedSet returns the distinct tokens in sorted order: the sorted
+// materialization of TokenSet.
 func SortedSet(toks []string) []string {
 	if len(toks) == 0 {
 		return nil
@@ -114,24 +113,6 @@ func SortedSet(toks []string) []string {
 		}
 	}
 	return out[:w]
-}
-
-// SortedCounts returns the distinct tokens in sorted order alongside their
-// multiplicities — the sorted materialization of TokenCounts. Iterating the
-// result reproduces the summation order of a sortedKeys(TokenCounts(...))
-// loop exactly, which keeps profile-based cosine measures bit-identical to
-// their string-based counterparts.
-func SortedCounts(toks []string) ([]string, []int) {
-	keys := SortedSet(toks)
-	if keys == nil {
-		return nil, nil
-	}
-	counts := make([]int, len(keys))
-	for _, t := range toks {
-		i := sort.SearchStrings(keys, t)
-		counts[i]++
-	}
-	return keys, counts
 }
 
 // ParseNumeric parses s as a float after trimming spaces, a leading '$',

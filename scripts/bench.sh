@@ -11,9 +11,9 @@
 #   BENCH_OUT=out.json scripts/bench.sh
 #
 # In full mode the run also enforces speedup floors (see check_floor at
-# the bottom): recorded BENCH_PR8 values minus a noise tolerance, so a
-# regression in the scoring-core hot paths or the shard transport fails
-# the bench job instead of silently shipping.
+# the bottom): recorded full-mode values minus a noise tolerance, so a
+# regression in the scoring-core hot paths, the blocking kernels or the
+# shard transport fails the bench job instead of silently shipping.
 #
 # The output (default BENCH_PR8.json) has these sections:
 #   mode        "smoke" or "full" — smoke numbers are single-iteration and
@@ -65,9 +65,12 @@ run() { # run <package> <bench regexp> [extra go-test flags...]
 	go test -run '^$' -bench "$re" -benchmem $BENCHTIME "$@" "$pkg" | tee -a "$RAW" >&2
 }
 
-run ./internal/similarity/ 'BenchmarkCosine(String|Profile)$|BenchmarkEditSim(String|StringMyers|Profile)$'
+run ./internal/similarity/ 'BenchmarkCosine(String|Profile)$|BenchmarkEditSim(String|StringMyers|Profile)$|BenchmarkJaccardQGrams(Strings|IDs)$|BenchmarkMongeElkan(TwoPass|Matrix)$'
 run ./internal/feature/ 'BenchmarkVectors(String)?$|BenchmarkNewExtractor$'
 run ./internal/blocker/ 'BenchmarkApplyRules(String|Indexed|IndexedSelective)?$|BenchmarkUmbrella(Materialized|Streaming)$'
+# Rule verification over the citations workload's index candidates: the
+# rules in selection order vs the shipping cost-ordered verifier.
+run ./internal/blocker/ 'BenchmarkVerify(GivenOrder|CostOrder)$'
 # Sharded blocking: K=1 single index vs K=4 under a 1/2/4/8-worker sweep.
 # Like forest_train, the worker-sweep speedups only mean parallelism on a
 # multi-core box; the per-shard footprint column is CPU-independent.
@@ -82,7 +85,7 @@ run ./internal/shard/ 'BenchmarkTransport(JSONLegacy|BinarySingle|BinaryBatched)
 if [ "$NCPU" -gt 1 ]; then CPUSPEC="1,$NCPU"; else CPUSPEC="1"; fi
 run ./internal/forest/ 'BenchmarkTrain(Serial)?$|BenchmarkMeanConfidence$|BenchmarkScore(PerVector|Batched)$' -cpu "$CPUSPEC"
 run ./internal/active/ 'BenchmarkSelectBatch$'
-run . 'BenchmarkFeatureVector$|BenchmarkForestTrain$|BenchmarkBlockingThroughput$'
+run . 'BenchmarkFeatureVector$|BenchmarkForestTrain$|BenchmarkPipelineCitations$'
 
 # Turn `go test -bench` output into JSON. Benchmark lines look like:
 #   BenchmarkName-8  120  9876 ns/op  12 B/op  3 allocs/op  2000 pairs/op
@@ -163,6 +166,9 @@ END {
 	if ((s = speedup("blocking_indexed_loose", "BenchmarkApplyRules", "BenchmarkApplyRulesIndexed")) != "") sp[++m] = s
 	if ((s = speedup("forest_train", "BenchmarkTrainSerial", "BenchmarkTrain")) != "") sp[++m] = s
 	if ((s = speedup("forest_score", "BenchmarkScorePerVector", "BenchmarkScoreBatched")) != "") sp[++m] = s
+	if ((s = speedup("jaccard_qgrams_ids", "BenchmarkJaccardQGramsStrings", "BenchmarkJaccardQGramsIDs")) != "") sp[++m] = s
+	if ((s = speedup("monge_elkan_matrix", "BenchmarkMongeElkanTwoPass", "BenchmarkMongeElkanMatrix")) != "") sp[++m] = s
+	if ((s = speedup("verify_cost_order", "BenchmarkVerifyGivenOrder", "BenchmarkVerifyCostOrder")) != "") sp[++m] = s
 	for (i = 1; i <= m; i++) printf "%s%s\n", sp[i], (i < m ? "," : "")
 	printf "  ],\n  \"memory\": [\n"
 	m = 0
@@ -221,6 +227,14 @@ if [ "$MODE" = "full" ]; then
 	# faster than the PR 6 JSON-per-task protocol on loopback.
 	check_floor shard_probe_throughput 2.0
 	check_floor shard_wire_bytes 5.0 reduction
+	# Blocking fast-path floors, about half the recorded full-mode ratios
+	# (4.90x, 2.14x, 2.33x on a 2-vCPU VM): rank-id q-gram Jaccard vs the
+	# string merge, one-matrix vs two-pass Monge-Elkan, and cost-ordered
+	# vs given-order rule verification over the citations workload's
+	# index candidates.
+	check_floor jaccard_qgrams_ids 2.2
+	check_floor monge_elkan_matrix 1.1
+	check_floor verify_cost_order 1.3
 	if [ "$FLOOR_FAIL" -ne 0 ]; then
 		echo "bench floors violated; see above" >&2
 		exit 1

@@ -43,12 +43,21 @@ go test -count=1 -run 'TestShardWorkerChaos/5xx-failover' ./internal/faultkit
 
 go test -race ./...
 
-# Wire-format fuzz smoke: a short differential run of the pair codec
-# (binary vs JSON round trip + decoder totality) and the K-way merge vs
-# its reference, so a codec change that breaks canonicality or totality
-# fails here in seconds instead of surfacing as a torn-stream mystery.
+# Whole-run benchmark self-test: TestExactCounts pins every batch
+# workload's outcome to _perfbench/reference.json, so a kernel change that
+# moves a single match fails here.
+make perfbench-check
+
+# Fuzz smoke: a short differential run of the pair codec (binary vs JSON
+# round trip + decoder totality) and the K-way merge vs its reference, so
+# a codec change that breaks canonicality or totality fails here in
+# seconds instead of surfacing as a torn-stream mystery; then the
+# Jaro-Winkler symmetry the one-matrix Monge-Elkan relies on, and the
+# rank-id set kernels vs the string-merge kernels they replaced.
 go test -count=1 -run '^$' -fuzz 'FuzzPairCodec' -fuzztime 5s ./internal/shard
 go test -count=1 -run '^$' -fuzz 'FuzzMergePairs' -fuzztime 5s ./internal/shard
+go test -count=1 -run '^$' -fuzz 'FuzzJaroWinklerSymmetric' -fuzztime 5s ./internal/similarity
+go test -count=1 -run '^$' -fuzz 'FuzzIDKernelsMatchStringOracles' -fuzztime 5s ./internal/similarity
 
 # Bench-smoke sanity: every benchmark must still run (one iteration) and
 # the harness must emit parseable JSON. Numbers are not checked — smoke
