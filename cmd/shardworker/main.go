@@ -15,11 +15,11 @@
 //	GET  /healthz     liveness probe
 //	GET  /metrics     worker counters (jobs loaded, probes, batches)
 //	POST /shard/load  make a job spec probeable (idempotent)
-//	POST /shard/probe one shard task or a [task, ...] batch; 412 until the
-//	                  job is loaded. Responses are content-negotiated: the
-//	                  compact binary pair codec (or a length-prefixed frame
-//	                  stream for batches) when the client Accepts it, the
-//	                  JSON envelope otherwise.
+//	POST /shard/probe one shard task or a [task, ...] batch as JSON; 412
+//	                  until the job is loaded. Responses are always the
+//	                  compact binary pair codec (a length-prefixed frame
+//	                  stream for batches), so run the shardworker built
+//	                  from the same version as the runsvc it serves.
 //
 // SIGINT/SIGTERM drain in-flight requests before exiting.
 package main

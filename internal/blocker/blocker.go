@@ -39,11 +39,11 @@ type Config struct {
 	// instead of a materialized Result.Candidates slice, which is then left
 	// nil. See Sink's contract for chunk-reuse rules.
 	Sink Sink
-	// Shards selects the rule-application execution strategy: 1 (or
-	// negative) forces the single-index path, >1 forces that many shards,
-	// and 0 — the default — chooses automatically by indexed-table size
-	// (shard.Choose). The emitted umbrella set is bit-identical at every
-	// setting.
+	// Shards sets how many shards an index-anchored rule set runs on: 1
+	// (or negative) forces one in-process shard, >1 forces that many
+	// shards, and 0 — the default — chooses automatically by indexed-table
+	// size (shard.Choose). The emitted umbrella set is bit-identical at
+	// every setting.
 	Shards int
 	// ShardWorkers bounds the shard coordinator's fan-out width (<=0 means
 	// GOMAXPROCS locally; for remote execution, set it to the worker

@@ -101,15 +101,14 @@ type execConfig struct {
 }
 
 // applyRulesTo streams the survivors of the selected rules over A×B to
-// sink, in (a, b)-lexicographic order: the planner routes candidate
-// generation through the sharded coordinator when the anchor index is
-// large enough (or sharding is forced), through the single similarity-join
-// index when a rule is index-friendly, and through the parallel exhaustive
-// scan otherwise. The emitted pair stream is identical in all cases (every
-// candidate is verified against all rules by the same evaluator); only the
-// number of pairs visited and where the work runs differ. The returned
-// error is always nil for in-process strategies; only a remote executor
-// can fail.
+// sink, in (a, b)-lexicographic order. There are two strategies: when a
+// rule is index-friendly the planner generates candidates through the
+// sharded coordinator — K shard indexes, K = 1 being one in-process shard
+// — and otherwise it runs the parallel exhaustive scan. The emitted pair
+// stream is identical either way (every candidate is verified against all
+// rules by the same evaluator); only the number of pairs visited and where
+// the work runs differ. The returned error is always nil for in-process
+// execution; only a remote executor can fail.
 func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, ec execConfig, sink Sink) error {
 	if len(rules) == 0 {
 		emitAllPairs(ds, sink)
@@ -122,12 +121,7 @@ func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, 
 		applyRulesScanTo(ds, ex, rules, sink)
 		return nil
 	}
-	k := shard.Choose(ec.shards, ds.B.Len())
-	if k > 1 || ec.exec != nil {
-		return applyRulesShardedTo(ds, ex, rules, p, k, ec, sink)
-	}
-	applyRulesIndexedTo(ds, ex, rules, p, sink)
-	return nil
+	return applyRulesShardedTo(ds, ex, rules, p, shard.Choose(ec.shards, ds.B.Len()), ec, sink)
 }
 
 // applyRules materializes the survivor stream — the historical signature
@@ -187,65 +181,6 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 	wg.Wait()
 }
 
-// indexBlockRows is how many probe (table A) rows one indexed-scan block
-// covers; small enough to load-balance skewed postings, large enough to
-// amortize the sequencer handoff.
-const indexBlockRows = 64
-
-// applyRulesIndexedTo generates candidates through the similarity-join
-// index instead of scanning A×B: for each A row it probes the anchor
-// feature's postings over table B, then verifies every candidate against
-// the full rule set with the same evaluator the scan uses. Index
-// completeness (see simindex.Candidates) guarantees the candidates are a
-// superset of the anchor rule's survivors, which contain the full rule
-// set's survivors; exact verification then yields the identical stream.
-// Probes run in parallel over A-row blocks with re-sequenced emission, so
-// ordering matches the scan at every GOMAXPROCS.
-func applyRulesIndexedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, p plan, sink Sink) {
-	profA, profB := ex.Profiles(p.feature)
-	ix := simindex.Build(p.kind, profB)
-	na := int64(ds.A.Len())
-	if na <= 0 || ds.B.Len() <= 0 {
-		return
-	}
-	blocks := (na + indexBlockRows - 1) / indexBlockRows
-	workers := runtime.GOMAXPROCS(0)
-	if int64(workers) > blocks {
-		workers = int(blocks)
-	}
-	q := newSequencer(blocks, workers, sink)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := newVerifier(ex, rules)
-			is := simindex.NewScratch()
-			for {
-				block, buf, ok := q.claim()
-				if !ok {
-					return
-				}
-				lo := block * indexBlockRows
-				hi := lo + indexBlockRows
-				if hi > na {
-					hi = na
-				}
-				for a := lo; a < hi; a++ {
-					for _, b := range ix.Candidates(profA[a], p.theta, is) {
-						pair := record.Pair{A: int32(a), B: b}
-						if v.Survives(pair) {
-							buf = append(buf, pair)
-						}
-					}
-				}
-				q.complete(block, buf)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // applyRulesShardedTo generates candidates through K independent shard
 // indexes driven by the shard coordinator: the probe space is cut into
 // (A-row-block × shard) tasks, executed in-process (k goroutine workers
@@ -253,11 +188,14 @@ func applyRulesIndexedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree
 // executor override is configured. The coordinator delivers results in
 // task order — block-major, shard-minor — so the K consecutive survivor
 // lists of one probe block are K-way merged by (a, b) and emitted; the
-// resulting stream is byte-identical to applyRulesIndexedTo's at every K,
+// resulting stream is byte-identical to the exhaustive scan's at every K,
 // worker count, and completion order. Per-shard candidate SUPERSETS do
-// differ from the single index's (prefix-filter token order depends on
-// per-index postings lengths), but supersets only decide which pairs get
-// verified; the shared exact Verifier decides who survives.
+// differ across K (prefix-filter token order depends on per-index postings
+// lengths), but supersets only decide which pairs get verified; the shared
+// exact Verifier decides who survives. Index completeness (see
+// simindex.Candidates) guarantees each shard's candidates are a superset
+// of the anchor rule's survivors among its rows, which contain the full
+// rule set's survivors.
 func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule,
 	p plan, k int, ec execConfig, sink Sink) error {
 

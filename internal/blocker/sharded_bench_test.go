@@ -1,7 +1,7 @@
 package blocker
 
 // Sharded-blocking benchmarks: the K=4 sharded strategy under 1/2/4/8
-// coordinator workers against the single-index path on the same dataset
+// coordinator workers against one in-process shard on the same dataset
 // and rules. Besides ns/op, each sharded run reports the largest per-shard
 // index footprint ("shard-peak-B") — the bytes one worker process must
 // hold, the number that shrinks as K grows and makes scale-out viable.
@@ -41,7 +41,7 @@ func benchSharded(b *testing.B, k, workers int) {
 }
 
 // BenchmarkShardedBlockingK1 is the scale-out baseline: the same planner
-// invocation forced to the K=1 single-index path.
+// invocation forced to K=1, one in-process shard.
 func BenchmarkShardedBlockingK1(b *testing.B) { benchSharded(b, 1, 1) }
 
 func BenchmarkShardedBlockingW1(b *testing.B) { benchSharded(b, 4, 1) }

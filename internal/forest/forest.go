@@ -11,7 +11,7 @@
 // instead of chasing per-node heap pointers, and a batched evaluator
 // routes blocks of vectors through all trees cache-friendly. Training
 // grows trees directly into that layout with per-goroutine scratch
-// (grow.go), bit-identical to the retained pointer-tree reference.
+// (grow.go), bit-identical to the pointer-tree oracle kept in the tests.
 package forest
 
 import (

@@ -9,14 +9,13 @@ import (
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/stats"
-	"github.com/corleone-em/corleone/internal/tree"
 )
 
 // trainSerialTrees is the pre-parallelization, pre-SoA reference
 // implementation: one RNG, pointer trees grown one after another through
-// tree.Grow, each consuming the forest RNG directly. Train must produce
+// Grow, each consuming the forest RNG directly. Train must produce
 // exactly this forest for every seed.
-func trainSerialTrees(X [][]float64, y []bool, cfg Config) []*tree.Tree {
+func trainSerialTrees(X [][]float64, y []bool, cfg Config) []*Tree {
 	cfg = cfg.withDefaults()
 	nf := len(X[0])
 	m := cfg.FeaturesPerSplit
@@ -31,11 +30,11 @@ func trainSerialTrees(X [][]float64, y []bool, cfg Config) []*tree.Tree {
 	if bag < 1 {
 		bag = 1
 	}
-	trees := make([]*tree.Tree, 0, cfg.NumTrees)
+	trees := make([]*Tree, 0, cfg.NumTrees)
 	for t := 0; t < cfg.NumTrees; t++ {
 		treeRng := rand.New(rand.NewSource(rng.Int63()))
 		idx := stats.SampleIndices(treeRng, len(X), bag)
-		trees = append(trees, tree.Grow(X, y, idx, tree.Config{
+		trees = append(trees, Grow(X, y, idx, treeConfig{
 			MaxDepth:         cfg.MaxDepth,
 			MinLeaf:          cfg.MinLeaf,
 			FeaturesPerSplit: m,
@@ -107,7 +106,7 @@ func TestTrainParallelMatchesSerial(t *testing.T) {
 // referenceScores computes per-vector positive fraction, entropy, and
 // confidence by walking the retained pointer trees one vector at a time —
 // the pre-SoA scoring semantics, transcendentals and all.
-func referenceScores(trees []*tree.Tree, v []float64) (frac, ent, conf float64) {
+func referenceScores(trees []*Tree, v []float64) (frac, ent, conf float64) {
 	pos := 0
 	for _, tr := range trees {
 		if tr.Predict(v) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -301,5 +302,47 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader(
 		`{"trees":[{"nodes":[{"f":0,"l":0,"r":0}]}]}`), nil); err == nil {
 		t.Error("self-referential node accepted")
+	}
+}
+
+// TestLoadRelayoutMatchesOracle pins Load's index walk on files Save never
+// writes: nodes stored out of pre-order (plus one node no path reaches)
+// and a subtree shared by two parents. Load must re-lay each tree out
+// exactly as the pointer-tree decoder it replaced did — unreachable nodes
+// dropped, shared subtrees emitted once per parent.
+func TestLoadRelayoutMatchesOracle(t *testing.T) {
+	cases := []struct{ name, model string }{
+		{"not-pre-order", `{"feature_names":["a","b"],"config":{"NumTrees":2},"trees":[
+			{"nodes":[
+				{"f":0,"t":0.5,"p":4,"n":6,"l":2,"r":1},
+				{"f":-1,"y":true,"p":3,"l":-1,"r":-1},
+				{"f":1,"t":0.25,"p":1,"n":6,"l":4,"r":3},
+				{"f":-1,"y":true,"p":1,"n":1,"l":-1,"r":-1},
+				{"f":-1,"n":5,"l":-1,"r":-1},
+				{"f":-1,"y":true,"p":9,"l":-1,"r":-1}]},
+			{"nodes":[{"f":-1,"p":2,"n":3,"l":-1,"r":-1}]}]}`},
+		{"shared-subtree", `{"feature_names":["a","b"],"trees":[
+			{"nodes":[
+				{"f":0,"t":0.5,"p":5,"n":5,"l":1,"r":2},
+				{"f":1,"t":0.3,"p":2,"n":3,"l":3,"r":4},
+				{"f":1,"t":0.7,"p":3,"n":2,"l":3,"r":5},
+				{"f":0,"t":0.1,"p":1,"n":1,"l":6,"r":7},
+				{"f":-1,"n":2,"l":-1,"r":-1},
+				{"f":-1,"y":true,"p":2,"l":-1,"r":-1},
+				{"f":-1,"n":1,"l":-1,"r":-1},
+				{"f":-1,"y":true,"p":1,"l":-1,"r":-1}]}]}`},
+	}
+	for _, c := range cases {
+		got, err := Load(strings.NewReader(c.model), []string{"a", "b"})
+		if err != nil {
+			t.Fatalf("%s: Load: %v", c.name, err)
+		}
+		want, err := loadPointerTrees(strings.NewReader(c.model))
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Load differs from the pointer-tree decoder", c.name)
+		}
 	}
 }

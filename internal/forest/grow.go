@@ -9,15 +9,16 @@ import (
 // grower grows one tree at a time directly into the SoA layout. All of its
 // scratch — bootstrap indices, feature marks, split-candidate list, sort
 // buffer, partition buffer — is allocated once per par.For chunk and reused
-// across trees and nodes, where the retained pointer-tree path (tree.Grow)
+// across trees and nodes, where the pointer-tree grower it replaced
 // allocated fresh index slices, value buffers, and sort closures at every
 // node. That per-node garbage is what kept concurrent tree growth
 // serialized on the allocator; with it gone, goroutines share nothing but
 // the read-only training data.
 //
 // For a given RNG the grower consumes exactly the same draw sequence and
-// produces exactly the same tree as tree.Grow; the equivalence tests pin
-// this for every seed they try.
+// produces exactly the same tree as the pointer-tree oracle kept in the
+// tests (pointertree_test.go); the equivalence tests pin this for every
+// seed they try.
 type grower struct {
 	X        [][]float64
 	y        []bool
@@ -69,8 +70,8 @@ func (g *grower) counts(idx []int) (pos, neg int) {
 }
 
 // growNode emits the subtree over idx in pre-order — the node itself, then
-// the whole left subtree, then the right — matching both flattenTree and
-// the Save wire order, and returns the node's tree-local index.
+// the whole left subtree, then the right — matching both Load's re-layout
+// and the Save wire order, and returns the node's tree-local index.
 func (g *grower) growNode(idx []int, depth int) int32 {
 	pos, neg := g.counts(idx)
 	id := g.st.emit()

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"github.com/corleone-em/corleone/internal/tree"
 )
 
 // savedNode is the JSON form of a tree node, flattened pre-order.
@@ -83,9 +81,9 @@ func (f *Forest) Save(w io.Writer, featureNames []string) error {
 // must match the names recorded at save time — applying a model to a
 // different featurization silently produces garbage, so it is an error.
 //
-// Decoding goes through pointer nodes (the natural shape for validating
-// arbitrary child indices) and then packs them into the SoA layout with
-// fromTrees.
+// Each tree decodes straight into the SoA layout by a pre-order walk over
+// the saved child indices (loadTree), so a file whose nodes are not stored
+// in pre-order is re-laid out rather than rejected.
 func Load(r io.Reader, featureNames []string) (*Forest, error) {
 	var in savedForest
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -103,37 +101,54 @@ func Load(r io.Reader, featureNames []string) (*Forest, error) {
 			}
 		}
 	}
-	trees := make([]*tree.Tree, 0, len(in.Trees))
+	parts := make([]soaTree, len(in.Trees))
 	for ti, st := range in.Trees {
 		if len(st.Nodes) == 0 {
 			return nil, fmt.Errorf("forest: tree %d is empty", ti)
 		}
-		nodes := make([]*tree.Node, len(st.Nodes))
-		for i, sn := range st.Nodes {
-			nodes[i] = &tree.Node{
-				Feature:   sn.Feature,
-				Threshold: sn.Threshold,
-				Label:     sn.Label,
-				Pos:       sn.Pos,
-				Neg:       sn.Neg,
-			}
-		}
 		// A child index must point forward in the array: Save emits
 		// pre-order, where children always follow their parent. This also
-		// rules out cycles and shared subtrees, which the flattener below
-		// would otherwise chase forever or duplicate.
+		// rules out cycles, which the walk below would chase forever.
 		for i, sn := range st.Nodes {
 			if sn.Feature < 0 {
 				continue // leaf
 			}
-			if sn.Left <= i || sn.Left >= len(nodes) ||
-				sn.Right <= i || sn.Right >= len(nodes) {
+			if sn.Left <= i || sn.Left >= len(st.Nodes) ||
+				sn.Right <= i || sn.Right >= len(st.Nodes) {
 				return nil, fmt.Errorf("forest: tree %d node %d has invalid children", ti, i)
 			}
-			nodes[i].Left = nodes[sn.Left]
-			nodes[i].Right = nodes[sn.Right]
 		}
-		trees = append(trees, &tree.Tree{Root: nodes[0]})
+		parts[ti] = loadTree(st.Nodes)
 	}
-	return fromTrees(trees, in.Config), nil
+	f := &Forest{cfg: in.Config}
+	f.soa = packTrees(parts)
+	f.buildTables()
+	return f, nil
+}
+
+// loadTree lays the saved nodes reachable from node 0 out in pre-order —
+// the grower's emission order. Nodes no path reaches are dropped, and a
+// subtree two parents share is emitted once under each.
+func loadTree(nodes []savedNode) soaTree {
+	var st soaTree
+	var walk func(i int) int32
+	walk = func(i int) int32 {
+		sn := nodes[i]
+		id := st.emit()
+		st.pos[id] = int32(sn.Pos)
+		st.neg[id] = int32(sn.Neg)
+		if sn.Feature < 0 {
+			st.feature[id] = -1
+			st.label[id] = sn.Label
+			return id
+		}
+		st.feature[id] = int32(sn.Feature)
+		st.threshold[id] = sn.Threshold
+		left := walk(sn.Left)
+		right := walk(sn.Right)
+		st.left[id], st.right[id] = left, right
+		return id
+	}
+	walk(0)
+	return st
 }

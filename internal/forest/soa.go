@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/corleone-em/corleone/internal/par"
-	"github.com/corleone-em/corleone/internal/tree"
 )
 
 // soa is the structure-of-arrays forest layout: node fields live in flat
@@ -80,8 +79,7 @@ type evalNode struct {
 }
 
 // soaTree is one tree's slice of the layout, with tree-local child
-// indices, produced by the grower or the pointer-tree flattener and packed
-// by packTrees.
+// indices, produced by the grower or by Load and packed by packTrees.
 type soaTree struct {
 	feature   []int32
 	threshold []float64
@@ -146,44 +144,6 @@ func packTrees(parts []soaTree) soa {
 	return s
 }
 
-// flattenTree lays a pointer tree out in pre-order — the same emission
-// order the grower uses — so a flattened reference forest is structurally
-// identical to a directly grown one. Load and the equivalence tests use it.
-func flattenTree(root *tree.Node) soaTree {
-	var st soaTree
-	var walk func(n *tree.Node) int32
-	walk = func(n *tree.Node) int32 {
-		id := st.emit()
-		st.pos[id] = int32(n.Pos)
-		st.neg[id] = int32(n.Neg)
-		if n.IsLeaf() {
-			st.feature[id] = -1
-			st.label[id] = n.Label
-			return id
-		}
-		st.feature[id] = int32(n.Feature)
-		st.threshold[id] = n.Threshold
-		st.left[id] = walk(n.Left)
-		st.right[id] = walk(n.Right)
-		return id
-	}
-	walk(root)
-	return st
-}
-
-// fromTrees builds a packed forest from pointer trees (deserialization and
-// the retained reference path).
-func fromTrees(trees []*tree.Tree, cfg Config) *Forest {
-	parts := make([]soaTree, len(trees))
-	for i, t := range trees {
-		parts[i] = flattenTree(t.Root)
-	}
-	f := &Forest{cfg: cfg}
-	f.soa = packTrees(parts)
-	f.buildTables()
-	return f
-}
-
 // buildTables derives the scoring-path state from the canonical arrays:
 // the packed eval nodes, leaf votes, per-tree depths, and the k+1
 // entropy/confidence values.
@@ -199,7 +159,7 @@ func (f *Forest) buildTables() {
 			}
 			continue
 		}
-		// Every construction path (grower, flattenTree) emits pre-order, so
+		// Every construction path (grower, Load) emits pre-order, so
 		// the left child must sit at n+1 — the invariant the implicit-left
 		// walk depends on.
 		if f.left[n] != int32(n)+1 {

@@ -11,6 +11,14 @@ import (
 	"github.com/corleone-em/corleone/internal/record"
 )
 
+// pairsEnvelope is the JSON probe envelope, {"pairs": [...]}, that workers
+// answered with before the binary codec became the only response format.
+// The compression test, the differential fuzz target and the legacy
+// transport benchmark measure the codec against it.
+type pairsEnvelope struct {
+	Pairs []record.Pair `json:"pairs"`
+}
+
 // codecCases are the unit-level pair lists: the shapes probes actually
 // emit ((a, b)-ascending with dense runs) plus the adversarial ones the
 // codec's totality contract covers (unsorted, duplicates, extremes).
@@ -61,7 +69,7 @@ func TestPairCodecCompression(t *testing.T) {
 		}
 	}
 	bin := AppendPairs(nil, pairs)
-	jso, err := json.Marshal(probeResponse{Pairs: pairs})
+	jso, err := json.Marshal(pairsEnvelope{Pairs: pairs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +184,11 @@ func FuzzPairCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("binary round trip of valid pairs failed: %v", err)
 		}
-		raw, err := json.Marshal(probeResponse{Pairs: pairs})
+		raw, err := json.Marshal(pairsEnvelope{Pairs: pairs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var pr probeResponse
+		var pr pairsEnvelope
 		if err := json.Unmarshal(raw, &pr); err != nil {
 			t.Fatal(err)
 		}

@@ -13,9 +13,9 @@ import (
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// TaskBlockRows is how many probe (table A) rows one shard task covers —
-// the same granularity as the single-index planner's scan blocks, so the
-// two paths load-balance skewed postings identically.
+// TaskBlockRows is how many probe (table A) rows one shard task covers:
+// small enough to load-balance skewed postings, large enough to amortize
+// the coordinator's per-task handoff.
 const TaskBlockRows = 64
 
 // Task is one unit of shard work: probe the anchor feature's index on one

@@ -35,8 +35,8 @@ func (x *Index) Footprint() int64 {
 }
 
 // Candidates appends to dst the ascending GLOBAL row ids of the shard's
-// rows whose similarity to probe could exceed theta — the shard-local
-// slice of the single index's candidate superset. The simindex scratch is
+// rows whose similarity to probe could exceed theta — a candidate superset
+// restricted to the shard's rows. The simindex scratch is
 // reusable across shards of any size.
 func (x *Index) Candidates(probe *similarity.Profile, theta float64, s *simindex.Scratch, dst []int32) []int32 {
 	for _, lr := range x.ix.Candidates(probe, theta, s) {
@@ -89,53 +89,4 @@ func (g *Group) TotalFootprint() int64 {
 		sum += sh.Footprint()
 	}
 	return sum
-}
-
-// MergeInt32 merges k ascending, pairwise-disjoint id lists into dst
-// (cleared first), preserving ascending order. The linear head scan beats
-// a heap for the small k the planner chooses.
-func MergeInt32(dst []int32, lists [][]int32) []int32 {
-	dst = dst[:0]
-	heads := make([]int, len(lists))
-	for {
-		best, bestList := int32(0), -1
-		for i, l := range lists {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if v := l[heads[i]]; bestList < 0 || v < best {
-				best, bestList = v, i
-			}
-		}
-		if bestList < 0 {
-			return dst
-		}
-		heads[bestList]++
-		dst = append(dst, best)
-	}
-}
-
-// GroupScratch carries one goroutine's probe state across a Group: the
-// shared simindex scratch, per-shard candidate buffers, and the merge
-// output buffer.
-type GroupScratch struct {
-	is     *simindex.Scratch
-	per    [][]int32
-	merged []int32
-}
-
-// NewGroupScratch returns an empty scratch for k shards.
-func NewGroupScratch(k int) *GroupScratch {
-	return &GroupScratch{is: simindex.NewScratch(), per: make([][]int32, k)}
-}
-
-// Candidates probes every shard and returns the merged ascending global
-// candidate ids. The returned slice aliases the scratch and is valid until
-// the next call.
-func (g *Group) Candidates(probe *similarity.Profile, theta float64, sc *GroupScratch) []int32 {
-	for s, sh := range g.shards {
-		sc.per[s] = sh.Candidates(probe, theta, sc.is, sc.per[s][:0])
-	}
-	sc.merged = MergeInt32(sc.merged, sc.per)
-	return sc.merged
 }

@@ -95,3 +95,29 @@ func FuzzMergePairs(f *testing.F) {
 		assertSameMerge(t, "fuzz", lists)
 	})
 }
+
+// mergePairsRef is the original reference merge: an O(K) linear head
+// scan per emitted pair. It is the semantic oracle MergePairs is fuzzed
+// and unit-tested against — slow, but obviously correct.
+func mergePairsRef(dst []record.Pair, lists [][]record.Pair) []record.Pair {
+	dst = dst[:0]
+	heads := make([]int, len(lists))
+	for {
+		bestList := -1
+		var best record.Pair
+		for i, l := range lists {
+			if heads[i] >= len(l) {
+				continue
+			}
+			v := l[heads[i]]
+			if bestList < 0 || v.A < best.A || (v.A == best.A && v.B < best.B) {
+				best, bestList = v, i
+			}
+		}
+		if bestList < 0 {
+			return dst
+		}
+		heads[bestList]++
+		dst = append(dst, best)
+	}
+}

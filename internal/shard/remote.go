@@ -41,26 +41,20 @@ func (e *httpStatusError) HTTPStatus() int { return e.status }
 // double-emit or diverge; the idempotency key header makes the retry
 // visible to logging middleware the same way platform's HIT creation is.
 //
-// Transport fast paths (both negotiated, both falling back to the PR 6
-// JSON envelope against an older worker):
+// Probe results travel in the binary pair codec (codec.go), the only
+// response format workers speak:
 //
-//   - single probes advertise the binary pair codec in Accept and decode
-//     whichever representation the worker answers with;
+//   - a single probe answers with one binary pair block;
 //   - ProbeBatch ships a whole run of same-shard tasks in one request and
-//     consumes the response as a per-task stream — length-prefixed binary
-//     pair blocks or NDJSON lines — completing each task as its frame
-//     arrives. A stream torn mid-batch returns the delivered prefix plus
-//     a retryable error; the coordinator re-runs only the tail.
+//     consumes the response as a stream of length-prefixed binary pair
+//     blocks, completing each task as its frame arrives. A stream torn
+//     mid-batch returns the delivered prefix plus a retryable error; the
+//     coordinator re-runs only the tail.
 type RemoteExecutor struct {
 	endpoints []string
 	client    *http.Client
 	breakers  []platform.Breaker
 
-	// ForceJSON disables the binary codec: Accept advertises only the JSON
-	// envelope (and NDJSON for batches). It exists for the equivalence
-	// tests and the transport benchmark — outputs are byte-identical either
-	// way, JSON just costs more wire.
-	ForceJSON bool
 	// MaxBatchTasks caps how many tasks one wire request carries (<=0
 	// means 64). ProbeBatch splits longer runs into sequential requests —
 	// the byte budget per request stays bounded no matter how large a run
@@ -282,38 +276,20 @@ func (e *RemoteExecutor) post(url, idemKey, accept string, v any) ([]byte, strin
 	return data, resp.Header.Get("Content-Type"), nil
 }
 
-// acceptFor returns the Accept header for single (stream=false) or batched
-// probes, honoring ForceJSON.
-func (e *RemoteExecutor) acceptFor(stream bool) string {
-	if stream {
-		if e.ForceJSON {
-			return JSONStreamContentType
-		}
-		return PairStreamContentType + ", " + JSONStreamContentType
-	}
-	if e.ForceJSON {
-		return JSONContentType
-	}
-	return PairsContentType + ", " + JSONContentType
-}
-
 func (e *RemoteExecutor) probeOnce(ep string, t Task) ([]record.Pair, error) {
-	data, ctype, err := e.post(ep+"/shard/probe", fmt.Sprintf("%s-%d", t.Job, t.Seq), e.acceptFor(false), t)
+	data, ctype, err := e.post(ep+"/shard/probe", fmt.Sprintf("%s-%d", t.Job, t.Seq), PairsContentType, t)
 	if err != nil {
 		return nil, err
 	}
-	if ctype == PairsContentType {
-		pairs, err := DecodePairs(data, nil)
-		if err != nil {
-			return nil, fmt.Errorf("shard: bad binary probe response from %s: %w", ep, err)
-		}
-		return pairs, nil
+	if ctype != PairsContentType {
+		// A worker built from another version; its body is not the codec.
+		return nil, fmt.Errorf("shard: probe response from %s is not "+PairsContentType, ep)
 	}
-	var pr probeResponse
-	if err := json.Unmarshal(data, &pr); err != nil {
-		return nil, fmt.Errorf("shard: bad probe response from %s: %w", ep, err)
+	pairs, err := DecodePairs(data, nil)
+	if err != nil {
+		return nil, fmt.Errorf("shard: bad binary probe response from %s: %w", ep, err)
 	}
-	return pr.Pairs, nil
+	return pairs, nil
 }
 
 // countingReader counts bytes as the stream consumes them, so a torn batch
@@ -338,7 +314,7 @@ func (e *RemoteExecutor) batchOnce(ep string, tasks []Task) ([][]record.Pair, er
 		return nil, err
 	}
 	idem := fmt.Sprintf("%s-%d-%d", tasks[0].Job, tasks[0].Seq, tasks[len(tasks)-1].Seq)
-	req, err := e.newRequest(ep+"/shard/probe", idem, e.acceptFor(true), body)
+	req, err := e.newRequest(ep+"/shard/probe", idem, PairStreamContentType, body)
 	if err != nil {
 		return nil, err
 	}
@@ -358,14 +334,10 @@ func (e *RemoteExecutor) batchOnce(ep string, tasks []Task) ([][]record.Pair, er
 		}
 		return nil, &httpStatusError{status: resp.StatusCode, msg: msg}
 	}
-	switch ct := resp.Header.Get("Content-Type"); ct {
-	case PairStreamContentType:
-		return readBinaryStream(cr, len(tasks), ep)
-	case JSONStreamContentType:
-		return readJSONStream(cr, len(tasks), ep)
-	default:
+	if ct := resp.Header.Get("Content-Type"); ct != PairStreamContentType {
 		return nil, fmt.Errorf("shard: unexpected batch content type %q from %s", ct, ep)
 	}
+	return readBinaryStream(cr, len(tasks), ep)
 }
 
 // readBinaryStream consumes length-prefixed binary pair blocks.
@@ -388,21 +360,6 @@ func readBinaryStream(r io.Reader, want int, ep string) ([][]record.Pair, error)
 			return results, fmt.Errorf("shard: bad batch frame from %s: %w", ep, err)
 		}
 		results = append(results, pairs)
-	}
-	return results, nil
-}
-
-// readJSONStream consumes NDJSON probe envelopes — the batch fallback.
-func readJSONStream(r io.Reader, want int, ep string) ([][]record.Pair, error) {
-	dec := json.NewDecoder(r)
-	results := make([][]record.Pair, 0, want)
-	for len(results) < want {
-		var pr probeResponse
-		if err := dec.Decode(&pr); err != nil {
-			return results, fmt.Errorf("shard: batch stream from %s ended after %d of %d tasks: %w",
-				ep, len(results), want, err)
-		}
-		results = append(results, pr.Pairs)
 	}
 	return results, nil
 }

@@ -9,7 +9,7 @@
 //
 // The design invariant is bit-identical output: a sharded run, at any K,
 // any worker count, and any task completion order, emits exactly the pair
-// stream the single-index planner emits. Three properties compose to give
+// stream the exhaustive §4.3 scan emits. Three properties compose to give
 // that:
 //
 //  1. Partitioning is a pure function of the record id (Assign), so the
@@ -68,9 +68,9 @@ func Partition(n, k int) [][]int32 {
 }
 
 // AutoThresholdRows is the indexed-table size above which the planner
-// picks sharded execution when the shard count is left on automatic: below
-// it a single index fits comfortably and the per-task overhead would be
-// pure loss.
+// splits the index into several shards when the shard count is left on
+// automatic: below it one shard's index fits comfortably and more shards
+// would only add per-task overhead.
 const AutoThresholdRows = 200_000
 
 // targetRowsPerShard sizes automatic shard counts: each shard's inverted
@@ -83,14 +83,14 @@ const targetRowsPerShard = 100_000
 const maxAutoShards = 64
 
 // Choose resolves a configured shard count against the indexed table's
-// size: 1 (or negative) forces the single-index path, >1 is honored
-// verbatim, and 0 means automatic — shard only past AutoThresholdRows, at
-// about targetRowsPerShard rows per shard.
+// size: 1 (or negative) means one in-process shard, >1 is honored
+// verbatim, and 0 means automatic — more than one shard only past
+// AutoThresholdRows, at about targetRowsPerShard rows per shard.
 func Choose(configured, indexedRows int) int {
 	switch {
 	case configured > 1:
 		return configured
-	case configured != 0: // 1 or negative: explicitly single-index
+	case configured != 0: // 1 or negative: explicitly one shard
 		return 1
 	case indexedRows < AutoThresholdRows:
 		return 1

@@ -36,15 +36,37 @@ type fatTask struct {
 	Rules   []tree.Rule `json:"rules"`
 }
 
-// transportFixture is the shared bench harness: one worker process
-// (httptest), its job pre-loaded so no 412 handshake pollutes timing, the
-// full task grid, and the per-shard runs the coordinator would claim.
+// legacyProbeHandler reproduces the original JSON worker probe endpoint, which
+// production workers no longer serve: one JSON task in, the JSON pair
+// envelope out. It wraps the same Worker.Probe the binary endpoint runs.
+func legacyProbeHandler(w *Worker) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		var t Task
+		if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		pairs, err := w.Probe(t)
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		writeWorkerJSON(rw, http.StatusOK, pairsEnvelope{Pairs: pairs})
+	})
+}
+
+// transportFixture is the shared bench harness: one worker, its job
+// pre-loaded so no 412 handshake pollutes timing, served over loopback
+// HTTP both by its production handler (srv) and by the legacy JSON handler
+// (legacy); the full task grid; and the per-shard runs the coordinator
+// would claim.
 type transportFixture struct {
-	spec JobSpec
-	srv  *httptest.Server
-	grid []Task
-	runs [][]Task // grid grouped by shard, each run Seq-ascending
-	fat  [][]byte // pre-marshaled PR 6 request bodies, one per grid task
+	spec   JobSpec
+	srv    *httptest.Server
+	legacy *httptest.Server
+	grid   []Task
+	runs   [][]Task // grid grouped by shard, each run Seq-ascending
+	fat    [][]byte // pre-marshaled legacy request bodies, one per grid task
 }
 
 var (
@@ -99,11 +121,12 @@ func benchTransportFixture(b *testing.B) *transportFixture {
 			}
 		}
 		transportFix = &transportFixture{
-			spec: spec,
-			srv:  httptest.NewServer(w.Handler()),
-			grid: grid,
-			runs: runs,
-			fat:  fat,
+			spec:   spec,
+			srv:    httptest.NewServer(w.Handler()),
+			legacy: httptest.NewServer(legacyProbeHandler(w)),
+			grid:   grid,
+			runs:   runs,
+			fat:    fat,
 		}
 	})
 	if transportErr != nil {
@@ -117,13 +140,13 @@ func benchTransportFixture(b *testing.B) *transportFixture {
 // JSON pair envelope. One op = one task.
 func BenchmarkTransportJSONLegacy(b *testing.B) {
 	fx := benchTransportFixture(b)
-	client := fx.srv.Client()
+	client := fx.legacy.Client()
 	var wire int64
 	sink := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body := fx.fat[i%len(fx.fat)]
-		resp, err := client.Post(fx.srv.URL+"/shard/probe", JSONContentType, bytes.NewReader(body))
+		resp, err := client.Post(fx.legacy.URL+"/shard/probe", JSONContentType, bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +158,7 @@ func BenchmarkTransportJSONLegacy(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("probe: HTTP %d: %s", resp.StatusCode, data)
 		}
-		var pr probeResponse
+		var pr pairsEnvelope
 		if err := json.Unmarshal(data, &pr); err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -117,6 +121,64 @@ func TestWorkerHTTPRoundTrip(t *testing.T) {
 	}
 	if w.Stats().Probes.Load() != int64(len(tasks)) {
 		t.Errorf("worker served %d probes, want %d", w.Stats().Probes.Load(), len(tasks))
+	}
+
+	// Binary is the only response format: a single probe and a batch sent
+	// with no Accept header still get the binary codec, and decode to the
+	// pairs the worker computes in-process.
+	post := func(body []byte) (string, []byte) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/shard/probe", JSONContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("probe without Accept: HTTP %d, %v: %s", resp.StatusCode, err, data)
+		}
+		return resp.Header.Get("Content-Type"), data
+	}
+	batch := tasks[:3]
+	var wantBatch [][]record.Pair
+	for _, task := range batch {
+		pairs, err := w.Probe(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBatch = append(wantBatch, pairs)
+	}
+	single, err := json.Marshal(batch[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctype, data := post(single)
+	if ctype != PairsContentType {
+		t.Fatalf("single probe without Accept answered %q, want %q", ctype, PairsContentType)
+	}
+	pairs, err := DecodePairs(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(pairs, wantBatch[0]) {
+		t.Fatalf("single probe without Accept decoded %v, want %v", pairs, wantBatch[0])
+	}
+	many, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctype, data = post(many)
+	if ctype != PairStreamContentType {
+		t.Fatalf("batch without Accept answered %q, want %q", ctype, PairStreamContentType)
+	}
+	results, err := readBinaryStream(bytes.NewReader(data), len(batch), srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		if !slices.Equal(results[i], wantBatch[i]) {
+			t.Fatalf("batch task %d without Accept decoded %v, want %v", i, results[i], wantBatch[i])
+		}
 	}
 }
 

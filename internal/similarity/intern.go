@@ -9,16 +9,16 @@ import (
 )
 
 // Rank interning. The set measures (word and q-gram Jaccard, overlap,
-// q-gram and TF/IDF cosine) and the similarity-join index compare sorted
-// token sets by merging them. Merging []string sets spends most of its time
+// TF/IDF cosine) and the similarity-join index compare sorted token sets
+// by merging them. Merging []string sets spends most of its time
 // in byte-wise string compares; merging []uint32 sets compares integers.
 // Profiles therefore carry their word and q-gram sets as ids into a
 // vocabulary shared by every profile built together (NewProfiles), and an
 // id is the term's RANK among the vocabulary's terms in Go byte order. Id
 // order is then string order: an ascending id set is the string set in the
 // same order, every merge visits the common elements in the order the
-// string merge did, and floating-point sums over them (TF/IDF and q-gram
-// cosine dot products, q-gram norms) are bit-identical to the string path.
+// string merge did, and floating-point sums over them (TF/IDF cosine dot
+// products) are bit-identical to the string path.
 // Ids are only comparable between profiles of one NewProfiles call.
 
 // interner assigns provisional ids to terms in first-seen order; ranks
@@ -189,10 +189,9 @@ func internWords(all []*Profile, fields Fields, corpus *Corpus) {
 	})
 }
 
-// internGrams fills GramSet, GramCounts and GramNorm from the padded
-// 3-grams of each profile's Norm — the grams strutil.QGrams(Norm, 3)
-// lists, generated here straight into the interner without materializing
-// a string per gram.
+// internGrams fills GramSet from the padded 3-grams of each profile's
+// Norm — the grams strutil.QGrams(Norm, 3) lists, generated here straight
+// into the interner without materializing a string per gram.
 func internGrams(all []*Profile) {
 	in := newInterner()
 	n := 0
@@ -229,12 +228,7 @@ func internGrams(all []*Profile) {
 			if k > 0 {
 				start = ends[k-1]
 			}
-			p := all[k]
-			p.GramSet, p.GramCounts, tmp = rankSet(flat[start:ends[k]], rank, tmp, true)
-			for _, c := range p.GramCounts {
-				f := float64(c)
-				p.GramNorm += f * f
-			}
+			all[k].GramSet, _, tmp = rankSet(flat[start:ends[k]], rank, tmp, false)
 		}
 	})
 }

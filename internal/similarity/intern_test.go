@@ -94,7 +94,6 @@ func checkIDKernels(t *testing.T, c *Corpus, pa, pb *Profile, s *Scratch) {
 		cosineStringVectors(weighStrings(c, pa.Tokens), weighStrings(c, pb.Tokens)))
 	eq("Cosine", c.Cosine(pa.Norm, pb.Norm),
 		cosineStringVectors(weighStrings(c, strutil.Words(pa.Norm)), weighStrings(c, strutil.Words(pb.Norm))))
-	eq("CosineQGrams", CosineQGramsProfiles(pa, pb), CosineQGrams(pa.Norm, pb.Norm))
 	eq("MongeElkan", MongeElkanProfiles(pa, pb, s), mongeElkanTwoPass(pa, pb, s))
 }
 
@@ -145,7 +144,7 @@ func TestIDKernelsZeroAlloc(t *testing.T) {
 	MongeElkanProfiles(a, b, s) // warm the scratch
 	if allocs := testing.AllocsPerRun(200, func() {
 		sinkF = JaccardQGramsProfiles(a, b) + JaccardWordsProfiles(a, b) + OverlapWordsProfiles(a, b) +
-			CosineQGramsProfiles(a, b) + c.CosineProfiles(a, b) + MongeElkanProfiles(a, b, s)
+			c.CosineProfiles(a, b) + MongeElkanProfiles(a, b, s)
 	}); allocs != 0 {
 		t.Errorf("id kernels allocate %.1f per call, want 0", allocs)
 	}

@@ -1,24 +1,18 @@
 package similarity
 
-import (
-	"math"
-	"sort"
-
-	"github.com/corleone-em/corleone/internal/strutil"
-)
+import "github.com/corleone-em/corleone/internal/strutil"
 
 // Fields selects which precomputed views a Profile carries. A record is
 // compared against thousands of counterparts during a pair scan, so
 // everything a measure would re-derive from the string on every call —
-// normalization, rune decoding, tokenization, q-grams, sorted count
-// vectors, parsed numerics, Soundex codes — is computed once per record
-// instead. Callers request only the fields their measures need; the
+// normalization, rune decoding, tokenization, q-grams, sorted id sets,
+// parsed numerics — is computed once per record instead. Callers request only the fields their measures need; the
 // feature extractor picks them per attribute type.
 type Fields uint
 
 const (
 	// FieldRunes decodes the normalized string into runes (edit distance,
-	// Jaro, Jaro-Winkler, the alignment measures).
+	// Jaro, Jaro-Winkler).
 	FieldRunes Fields = 1 << iota
 	// FieldTokenRunes decodes each word token into runes and keeps its
 	// word id (Monge-Elkan).
@@ -26,18 +20,16 @@ const (
 	// FieldWordSet materializes the ascending distinct word ids (word
 	// Jaccard, overlap, TF/IDF weighing).
 	FieldWordSet
-	// FieldQGrams materializes the ascending padded 3-gram id count vector
-	// (q-gram Jaccard and cosine).
+	// FieldQGrams materializes the ascending distinct padded 3-gram ids
+	// (q-gram Jaccard).
 	FieldQGrams
 	// FieldNumeric parses the raw value as a number (numeric diffs).
 	FieldNumeric
-	// FieldSoundex encodes each word token with Soundex (phonetic match).
-	FieldSoundex
 )
 
 // AllFields builds every view; equivalence tests and generic callers use it.
 const AllFields = FieldRunes | FieldTokenRunes | FieldWordSet | FieldQGrams |
-	FieldNumeric | FieldSoundex
+	FieldNumeric
 
 // Profile is the precomputed view of one attribute value. The profile fast
 // paths below consume pairs of profiles and return results bit-identical to
@@ -62,19 +54,12 @@ type Profile struct {
 	TokenRunes [][]rune
 	// WordSet is the ascending distinct word ids of Tokens (FieldWordSet).
 	WordSet []uint32
-	// GramSet / GramCounts are the ascending distinct padded 3-gram ids of
-	// Norm with multiplicities; GramNorm is Σ count² accumulated in
-	// ascending order (FieldQGrams).
-	GramSet    []uint32
-	GramCounts []int32
-	GramNorm   float64
+	// GramSet is the ascending distinct padded 3-gram ids of Norm
+	// (FieldQGrams).
+	GramSet []uint32
 	// Numeric / NumericOK are strutil.ParseNumeric(Raw) (FieldNumeric).
 	Numeric   float64
 	NumericOK bool
-	// SoundexCodes holds Soundex(token) aligned with Tokens; SortedCodes is
-	// their sorted distinct set (FieldSoundex).
-	SoundexCodes []string
-	SortedCodes  []string
 	// TFIDF is the corpus-weighted vector, set by NewProfiles for columns
 	// built with a corpus.
 	TFIDF *WeightedVector
@@ -87,7 +72,7 @@ func newProfile(raw string, fields Fields) *Profile {
 	if fields&FieldRunes != 0 {
 		p.Runes = []rune(p.Norm)
 	}
-	if fields&(FieldTokenRunes|FieldWordSet|FieldSoundex) != 0 {
+	if fields&(FieldTokenRunes|FieldWordSet) != 0 {
 		p.Tokens = strutil.Words(p.Norm)
 	}
 	if fields&FieldTokenRunes != 0 {
@@ -98,13 +83,6 @@ func newProfile(raw string, fields Fields) *Profile {
 	}
 	if fields&FieldNumeric != 0 {
 		p.Numeric, p.NumericOK = strutil.ParseNumeric(raw)
-	}
-	if fields&FieldSoundex != 0 {
-		p.SoundexCodes = make([]string, len(p.Tokens))
-		for i, t := range p.Tokens {
-			p.SoundexCodes[i] = Soundex(t)
-		}
-		p.SortedCodes = strutil.SortedSet(p.SoundexCodes)
 	}
 	return p
 }
@@ -237,79 +215,4 @@ func MongeElkanProfiles(a, b *Profile, s *Scratch) float64 {
 		sumB += v
 	}
 	return (sumA/float64(len(ta)) + sumB/float64(len(tb))) / 2
-}
-
-// CosineQGramsProfiles is the profile fast path of CosineQGrams (requires
-// FieldQGrams). Norms are precomputed; the dot product merges the
-// ascending gram id sets, visiting common grams in the string path's
-// summation order.
-func CosineQGramsProfiles(a, b *Profile) float64 {
-	if len(a.GramSet) == 0 && len(b.GramSet) == 0 {
-		return 1
-	}
-	if len(a.GramSet) == 0 || len(b.GramSet) == 0 {
-		return 0
-	}
-	var dot float64
-	for i, j := 0, 0; i < len(a.GramSet) && j < len(b.GramSet); {
-		x, y := a.GramSet[i], b.GramSet[j]
-		switch {
-		case x < y:
-			i++
-		case x > y:
-			j++
-		default:
-			dot += float64(a.GramCounts[i]) * float64(b.GramCounts[j])
-			i++
-			j++
-		}
-	}
-	if a.GramNorm == 0 || b.GramNorm == 0 {
-		return 0
-	}
-	s := dot / (math.Sqrt(a.GramNorm) * math.Sqrt(b.GramNorm))
-	if s > 1 {
-		s = 1
-	}
-	return s
-}
-
-// NeedlemanWunschProfiles is the profile fast path of NeedlemanWunsch
-// (requires FieldRunes).
-func NeedlemanWunschProfiles(a, b *Profile, s *Scratch) float64 {
-	return needlemanWunschRunes(a.Runes, b.Runes, s)
-}
-
-// SmithWatermanProfiles is the profile fast path of SmithWaterman (requires
-// FieldRunes).
-func SmithWatermanProfiles(a, b *Profile, s *Scratch) float64 {
-	return smithWatermanRunes(a.Runes, b.Runes, s)
-}
-
-// LongestCommonSubstringProfiles is the profile fast path of
-// LongestCommonSubstring (requires FieldRunes).
-func LongestCommonSubstringProfiles(a, b *Profile, s *Scratch) float64 {
-	return longestCommonSubstringRunes(a.Runes, b.Runes, s)
-}
-
-// SoundexSimProfiles is the profile fast path of SoundexSim (requires
-// FieldSoundex).
-func SoundexSimProfiles(a, b *Profile) float64 {
-	if len(a.Tokens) == 0 && len(b.Tokens) == 0 {
-		return 1
-	}
-	if len(a.Tokens) == 0 || len(b.Tokens) == 0 {
-		return 0
-	}
-	short, long := a, b
-	if len(b.Tokens) < len(a.Tokens) {
-		short, long = b, a
-	}
-	hit := 0
-	for _, c := range short.SoundexCodes {
-		if i := sort.SearchStrings(long.SortedCodes, c); i < len(long.SortedCodes) && long.SortedCodes[i] == c {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(short.Tokens))
 }

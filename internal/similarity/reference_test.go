@@ -23,9 +23,9 @@ import (
 
 // levenshteinTwoRowRunes computes the unit-cost edit distance with the
 // classic two-row DP over runes, after prefix/suffix trimming and the
-// one-empty-side early exit — the exact pre-Myers hot path. s supplies the
-// two DP rows (nil allocates).
-func levenshteinTwoRowRunes(ra, rb []rune, s *Scratch) int {
+// one-empty-side early exit — the exact pre-Myers hot path, as called
+// without a scratch: the two DP rows are allocated per call.
+func levenshteinTwoRowRunes(ra, rb []rune) int {
 	for len(ra) > 0 && len(rb) > 0 && ra[0] == rb[0] {
 		ra, rb = ra[1:], rb[1:]
 	}
@@ -38,7 +38,7 @@ func levenshteinTwoRowRunes(ra, rb []rune, s *Scratch) int {
 	if len(rb) == 0 {
 		return len(ra)
 	}
-	prev, cur := s.intRows(len(rb) + 1)
+	prev, cur := make([]int, len(rb)+1), make([]int, len(rb)+1)
 	for j := range prev {
 		prev[j] = j
 	}
@@ -79,7 +79,7 @@ func editSimTwoRow(a, b string) float64 {
 	if lb > m {
 		m = lb
 	}
-	return 1 - float64(levenshteinTwoRowRunes(ra, rb, nil))/float64(m)
+	return 1 - float64(levenshteinTwoRowRunes(ra, rb))/float64(m)
 }
 
 // The string-set merge kernels the rank-id kernels replaced (intern.go).

@@ -1,3 +1,8 @@
+// Package tree holds the decision-rule vocabulary of Corleone's random
+// forests: predicates ("feature <= threshold" or "feature > threshold")
+// and rules, the root-to-leaf paths that power blocking (§4.1 step 4),
+// reduction (§6.2), and difficult-pair location (§7). The trees
+// themselves live in the forest package's structure-of-arrays layout.
 package tree
 
 import (
@@ -157,29 +162,4 @@ func (r Rule) EvalCost(cost func(feature int) float64) float64 {
 		sum += cost(f)
 	}
 	return sum
-}
-
-// Rules extracts every root-to-leaf decision rule from the tree (§4.1 step
-// 4 generalized to both polarities). Each returned rule's predicate list
-// follows the path order from root to leaf.
-func (t *Tree) Rules() []Rule {
-	var out []Rule
-	var walk func(n *Node, path []Predicate)
-	walk = func(n *Node, path []Predicate) {
-		if n.IsLeaf() {
-			preds := make([]Predicate, len(path))
-			copy(preds, path)
-			out = append(out, Rule{
-				Preds:    preds,
-				Positive: n.Label,
-				LeafPos:  n.Pos,
-				LeafNeg:  n.Neg,
-			})
-			return
-		}
-		walk(n.Left, append(path, Predicate{Feature: n.Feature, Op: LE, Threshold: n.Threshold}))
-		walk(n.Right, append(path, Predicate{Feature: n.Feature, Op: GT, Threshold: n.Threshold}))
-	}
-	walk(t.Root, nil)
-	return out
 }

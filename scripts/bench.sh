@@ -29,7 +29,7 @@
 #   memory      baseline/optimized pairs compared on bytes/op — the
 #               streaming umbrella set is a peak-memory fix, not a CPU one
 #   blocking_sharded  the K=4 sharded strategy at 1/2/4/8 coordinator
-#               workers vs the K=1 single index: ns/op speedup plus the
+#               workers vs K=1 (one in-process shard): ns/op speedup plus the
 #               per-shard peak index bytes (the scale-out memory story —
 #               per-shard bytes shrink ~K-fold regardless of CPU count)
 #   shard_transport  the PR 6 JSON-per-task wire protocol vs the binary
@@ -71,7 +71,7 @@ run ./internal/blocker/ 'BenchmarkApplyRules(String|Indexed|IndexedSelective)?$|
 # Rule verification over the citations workload's index candidates: the
 # rules in selection order vs the shipping cost-ordered verifier.
 run ./internal/blocker/ 'BenchmarkVerify(GivenOrder|CostOrder)$'
-# Sharded blocking: K=1 single index vs K=4 under a 1/2/4/8-worker sweep.
+# Sharded blocking: K=1 (one in-process shard) vs K=4 under a 1/2/4/8-worker sweep.
 # Like forest_train, the worker-sweep speedups only mean parallelism on a
 # multi-core box; the per-shard footprint column is CPU-independent.
 run ./internal/blocker/ 'BenchmarkShardedBlocking(K1|W1|W2|W4|W8)$'
